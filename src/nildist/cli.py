@@ -44,12 +44,6 @@ def build_parser() -> _ArgumentParser:
         default=None,
         help="output format (default depends on the command)",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed reserved for randomized runs; accepted for reproducibility",
-    )
 
     parser = _ArgumentParser(
         prog="nildist",

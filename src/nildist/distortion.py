@@ -1,12 +1,14 @@
 """Empirical distortion measurement by breadth-first Cayley ball search.
 
 The ambient ball is grown layer by layer from the identity, one multiplication
-per generator (and inverse) per frontier element, deduplicating on coordinate
-tuples.  Delta(n) is the largest subgroup length among ball elements that lie
-in the subgroup; for a cyclic subgroup <u> the subgroup length of u^k is |k|
-exactly, otherwise a second search over the subgroup's own generators supplies
-the lengths.  When that second search hits a cap before resolving every
-member, the affected table rows are reported as lower bounds and flagged.
+per generator (and inverse) per frontier element, deduplicating on the group
+elements themselves: the Magnus map is injective, so equal polynomials are
+equal elements.  enumerate_ball returns word lengths keyed by group element.
+Delta(n) is the largest subgroup length among ball elements that lie in the
+subgroup; for a cyclic subgroup <u> the subgroup length of u^k is |k| exactly,
+otherwise a second search over the subgroup's own generators supplies the
+lengths.  When that second search hits a cap before resolving every member,
+the affected table rows are reported as lower bounds and flagged.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .hall import from_coordinates, to_coordinates
+from .hall import to_coordinates
 from .magnus import embed, identity, inverse, multiply
 from .presentation import Presentation
-from .subgroups import SubgroupStandardBasis, induced_basis, member
+from .subgroups import induced_basis, member
 
 DEFAULT_MAX_ELEMENTS = 5 * 10**6
 
@@ -32,18 +34,37 @@ class BallIndex:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def length(self, coords) -> int | None:
-        return self.lengths.get(tuple(coords))
 
-
-def _steps(gens, presentation):
-    seen = {}
+def _bfs(presentation, gens, radius, max_elements):
+    """Yield (element, word length) over gens and their inverses, breadth
+    first, out to the given radius.  Raises CapExceededError rather than
+    visit more than max_elements elements."""
+    steps = {}
     for word in gens:
         g = embed(tuple(word), presentation)
         for h in (g, inverse(g)):
             if not h.is_identity():
-                seen.setdefault(to_coordinates(h), h)
-    return list(seen.values())
+                steps[h] = None
+    start = identity(presentation)
+    seen = {start}
+    yield start, 0
+    frontier = [start]
+    for layer in range(1, radius + 1):
+        new: list = []
+        for g in frontier:
+            for s in steps:
+                h = multiply(g, s)
+                if h not in seen:
+                    if len(seen) >= max_elements:
+                        raise CapExceededError(
+                            f"ball exceeded {max_elements} elements at radius {layer}"
+                        )
+                    seen.add(h)
+                    new.append(h)
+                    yield h, layer
+        if not new:
+            return
+        frontier = new
 
 
 def enumerate_ball(
@@ -58,26 +79,7 @@ def enumerate_ball(
         raise ValueError("radius must be nonnegative")
     if not gens:
         raise ValueError("need at least one generator")
-    steps = _steps(gens, presentation)
-    start = identity(presentation)
-    lengths = {to_coordinates(start): 0}
-    frontier = [start]
-    for layer in range(1, radius + 1):
-        new: list = []
-        for g in frontier:
-            for s in steps:
-                h = multiply(g, s)
-                key = to_coordinates(h)
-                if key not in lengths:
-                    if len(lengths) >= max_elements:
-                        raise CapExceededError(
-                            f"ball exceeded {max_elements} elements at radius {layer}"
-                        )
-                    lengths[key] = layer
-                    new.append(h)
-        if not new:
-            break
-        frontier = new
+    lengths = dict(_bfs(presentation, gens, radius, max_elements))
     return BallIndex(presentation, radius, lengths)
 
 
@@ -109,46 +111,22 @@ def _ambient_words(presentation):
     return [((i, 1),) for i in range(presentation.m)]
 
 
-def _cyclic_lengths(basis: SubgroupStandardBasis, members):
-    entry = basis.entries[0]
-    j = entry.pivot
-    a = entry.coords[j]
-    return {coords: abs(coords[j] // a) for coords in members}
+def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap):
+    """Subgroup lengths of the target elements, by BFS over gens.
 
-
-def _bfs_lengths(presentation, gens, targets, max_elements, radius_cap):
-    """Subgroup lengths for the target coordinate set, by BFS over gens.
-
-    Stops once every target is resolved or a cap is reached; targets still
-    missing from the result are unresolved and the caller flags their rows.
+    Stops once every target is found or a cap is reached; targets missing
+    from the result are unresolved and the caller flags their rows.
     """
-    steps = _steps(gens, presentation)
-    start = identity(presentation)
-    lengths = {to_coordinates(start): 0}
-    uncovered = set(targets) - set(lengths)
-    frontier = [start]
-    layer = 0
-    while uncovered and frontier and layer < radius_cap:
-        layer += 1
-        new: list = []
-        capped = False
-        for g in frontier:
-            for s in steps:
-                h = multiply(g, s)
-                key = to_coordinates(h)
-                if key not in lengths:
-                    if len(lengths) >= max_elements:
-                        capped = True
-                        break
-                    lengths[key] = layer
-                    uncovered.discard(key)
-                    new.append(h)
-            if capped:
-                break
-        if capped:
-            break
-        frontier = new
-    return lengths
+    found = {}
+    try:
+        for g, length in _bfs(presentation, gens, radius_cap, max_elements):
+            if g in targets:
+                found[g] = length
+                if len(found) == len(targets):
+                    break
+    except CapExceededError:
+        pass
+    return found
 
 
 def measure_distortion(
@@ -165,19 +143,20 @@ def measure_distortion(
     )
     basis = induced_basis(gens, presentation)
 
-    members = {}
-    for coords, flen in ball.lengths.items():
-        if member(basis, from_coordinates(coords, presentation)):
-            members[coords] = flen
+    members = {g: flen for g, flen in ball.lengths.items() if member(basis, g)}
 
     if len(basis) == 1:
-        hlengths = _cyclic_lengths(basis, members)
+        # members are the powers entry.element^k, with pivot exponent k * a
+        entry = basis.entries[0]
+        j = entry.pivot
+        a = entry.coords[j]
+        hlengths = {g: abs(to_coordinates(g)[j] // a) for g in members}
     elif len(basis) == 0:
-        hlengths = {coords: 0 for coords in members}
+        hlengths = dict.fromkeys(members, 0)
     else:
         if subgroup_radius_cap is None:
             subgroup_radius_cap = max(4 * radius + 4, 16)
-        hlengths = _bfs_lengths(
+        hlengths = _subgroup_lengths(
             presentation, gens, members, max_elements, subgroup_radius_cap
         )
 
@@ -187,10 +166,10 @@ def measure_distortion(
     for n in range(1, radius + 1):
         delta = 0
         exact = True
-        for coords, flen in members.items():
+        for g, flen in members.items():
             if flen > n:
                 continue
-            hl = hlengths.get(coords)
+            hl = hlengths.get(g)
             if hl is None:
                 exact = False
             elif hl > delta:

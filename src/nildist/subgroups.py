@@ -1,4 +1,4 @@
-"""Finitely generated subgroups: standard bases, retractions, the
+r"""Finitely generated subgroups: standard bases, retractions, the
 undistortedness decision.
 
 The decision rests on three pieces.

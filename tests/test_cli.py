@@ -156,9 +156,10 @@ def test_measure_json(capsys):
     ]
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, _, _ = run(capsys, "nf", "-m", "2", "-c", "2", "--seed", "7", "a")
-    assert code == 0
+def test_seed_flag_is_rejected(capsys):
+    code, out, _ = run(capsys, "nf", "-m", "2", "-c", "2", "--seed", "7", "a")
+    assert code == 1
+    assert out == ""
 
 
 def test_output_is_deterministic(capsys):

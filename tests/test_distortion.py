@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import HEIS_A, HEIS_B, heis_inv, heis_mul, random_word
+from oracles import HEIS_A, HEIS_B, element_ball, heis_inv, heis_mul, random_word
 from nildist.distortion import (
     DistortionRow,
     DistortionTable,
@@ -66,9 +66,13 @@ def test_ball_matches_independent_search():
     assert by_layer == oracle_by_layer
 
 
-def test_ball_lengths_satisfy_triangle_inequality():
-    from nildist.hall import to_coordinates
+def test_ball_matches_element_oracle():
+    for p, radius in ((Presentation(2, 3), 4), (Presentation(3, 2), 3)):
+        ball = enumerate_ball(p, ambient(p), radius)
+        assert ball.lengths == element_ball(p, radius)
 
+
+def test_ball_lengths_satisfy_triangle_inequality():
     ball = enumerate_ball(P22, ambient(P22), 5)
     rng = random.Random(101)
     inside = [
@@ -76,9 +80,9 @@ def test_ball_lengths_satisfy_triangle_inequality():
     ]
     for g in inside:
         for h in inside:
-            lg = ball.length(to_coordinates(g))
-            lh = ball.length(to_coordinates(h))
-            lgh = ball.length(to_coordinates(multiply(g, h)))
+            lg = ball.lengths.get(g)
+            lh = ball.lengths.get(h)
+            lgh = ball.lengths.get(multiply(g, h))
             if lg is not None and lh is not None and lgh is not None:
                 assert lgh <= lg + lh
 
@@ -98,6 +102,10 @@ def test_ball_input_validation():
         enumerate_ball(P22, [], 2)
     with pytest.raises(CapExceededError):
         enumerate_ball(P22, ambient(P22), 4, max_elements=20)
+    # the radius-2 ball has exactly 17 elements
+    assert len(enumerate_ball(P22, ambient(P22), 2, max_elements=17)) == 17
+    with pytest.raises(CapExceededError):
+        enumerate_ball(P22, ambient(P22), 2, max_elements=16)
 
 
 def test_measure_central_cyclic_subgroup():
@@ -162,6 +170,15 @@ def test_measure_flags_truncated_rows():
     )
     assert not table.complete
     assert any(not row.exact for row in table.rows)
+
+
+def test_measure_flags_rows_when_subgroup_search_hits_element_cap():
+    # b = (b a^10) a^-10 has subgroup length 11, far beyond the 53 elements
+    # the cap (the size of the radius-3 ambient ball) lets the search visit
+    gens = [parse_word("a", P22), parse_word("b a^10", P22)]
+    table = measure_distortion(gens, P22, 3, max_elements=53)
+    assert [row.exact for row in table.rows] == [False, False, False]
+    assert [row.delta for row in table.rows] == [1, 2, 3]
 
 
 def test_estimated_exponent_on_synthetic_tables():
