@@ -13,10 +13,10 @@ import sys
 from .distortion import DEFAULT_MAX_ELEMENTS, measure_distortion
 from .errors import CapExceededError, InternalInconsistencyError, WordSyntaxError
 from .hall import hall_basis, normal_form_str, to_coordinates
-from .magnus import commutator, embed, multiply
+from .magnus import commutator, evaluate, multiply
 from .presentation import DEFAULT_HIRSCH_CAP, Presentation
 from .subgroups import cyclic_distortion_exponent, decide_undistorted
-from .words import format_word, parse_word
+from .words import parse, parse_word
 
 
 class _UsageError(Exception):
@@ -102,6 +102,10 @@ def _element_output(g, presentation, fmt):
     )
 
 
+def _element(text, presentation):
+    return evaluate(parse(text, presentation), presentation)
+
+
 def _pick_format(args, default, allowed=("text", "json")):
     fmt = args.format or default
     if fmt not in allowed:
@@ -116,20 +120,18 @@ def _run(args) -> str:
 
     if args.command == "nf":
         fmt = _pick_format(args, "text")
-        g = embed(parse_word(args.word, presentation), presentation)
-        return _element_output(g, presentation, fmt)
+        return _element_output(_element(args.word, presentation), presentation, fmt)
 
     if args.command in ("mul", "comm"):
         fmt = _pick_format(args, "text")
-        left = embed(parse_word(args.left, presentation), presentation)
-        right = embed(parse_word(args.right, presentation), presentation)
+        left = _element(args.left, presentation)
+        right = _element(args.right, presentation)
         op = multiply if args.command == "mul" else commutator
         return _element_output(op(left, right), presentation, fmt)
 
     if args.command == "weight":
         fmt = _pick_format(args, "text")
-        g = embed(parse_word(args.word, presentation), presentation)
-        w = g.weight()
+        w = _element(args.word, presentation).weight()
         if fmt == "json":
             return json.dumps(
                 {"weight": None if w == float("inf") else w}, sort_keys=True
@@ -138,7 +140,7 @@ def _run(args) -> str:
 
     if args.command == "coords":
         fmt = _pick_format(args, "text")
-        coords = to_coordinates(embed(parse_word(args.word, presentation), presentation))
+        coords = to_coordinates(_element(args.word, presentation))
         if fmt == "json":
             return json.dumps({"coordinates": list(coords)}, sort_keys=True)
         return f"({', '.join(str(v) for v in coords)})"

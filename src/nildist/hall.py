@@ -15,9 +15,10 @@ coordinate tuple.  The two directions:
     weight-w term of the lower central series, the degree-w part of its
     polynomial image is an integer combination of the Lie expansions of the
     weight-w basis entries; solving that linear system yields the exponents,
-    and dividing the matching product off pushes the residual one weight
-    deeper.  The system matrix per weight is fixed, so its Hermite form is
-    computed once per presentation and reused for every solve.
+    and left-multiplying the residual by b_i^-e_i for each weight-w entry,
+    in basis order, pushes it one weight deeper.  The system matrix per
+    weight is fixed, so its Hermite form is computed once per presentation
+    and reused for every solve.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .magnus import (
     commutator,
     embed,
     identity,
-    inverse,
     multiply,
     power,
 )
@@ -93,7 +93,10 @@ class HallBasis:
         self.entries = tuple(entries)
         self._blocks = blocks
         for w in range(1, presentation.c + 1):
-            assert len(blocks[w]) == witt_number(presentation.m, w)
+            if len(blocks[w]) != witt_number(presentation.m, w):
+                raise InternalInconsistencyError(
+                    f"weight-{w} Hall layer has the wrong size"
+                )
 
         self._lie: list[dict] = []
         for entry in self.entries:
@@ -164,12 +167,10 @@ def to_coordinates(g: GroupElement) -> MalcevCoords:
             raise InternalInconsistencyError(
                 f"degree-{w} part is not a combination of basic commutators"
             )
-        divisor = identity(g.presentation)
         for i, e in zip(basis.block(w), exponents):
             coords[i] = e
             if e:
-                divisor = multiply(divisor, power(basis.element(i), e))
-        residual = multiply(inverse(divisor), residual)
+                residual = multiply(power(basis.element(i), -e), residual)
     if not residual.is_identity():
         raise InternalInconsistencyError("nonzero residual after peeling all weights")
     return tuple(coords)

@@ -4,9 +4,13 @@ Each generator a_i of the free nilpotent group of rank m and class c maps to
 1 + x_i in the ring of integer polynomials on noncommuting variables
 x_1..x_m, truncated above total degree c.  The map lands in the group of
 units with constant term 1 and is injective, so equality of polynomials is
-equality of group elements and every computation below is exact.  Inversion
-is the truncated geometric series: (1 + u)^-1 = 1 - u + u^2 - ... with u of
-valuation at least one, so the series stops at degree c on its own.
+equality of group elements and every computation below is exact.
+
+Every integer power, the inverse included, is the binomial series
+(1 + u)^n = sum_k C(n, k) u^k for u = g - 1, negative n too: u^k starts in
+degree k, so the sum stops by degree c.  Multiplication visits only the term
+pairs under the truncation, walking the right operand's monomials in degree
+order.  evaluate reads a parse tree without expanding its powers.
 
 An element g lies in the k-th term of the lower central series exactly when
 every nonconstant term of its image has degree >= k; the weight of g is the
@@ -18,19 +22,21 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import InternalInconsistencyError
 from .presentation import Presentation
-from .words import Word
+from .words import Commutator, Generator, Inverse, Power, Product, Word, WordExpr
 
 Monomial = tuple[int, ...]
 
 
 def _raw_mul(f: dict, g: dict, cutoff: int) -> dict:
+    right = [(m2, g[m2]) for m2 in sorted(g, key=len)]
     out: dict[Monomial, int] = {}
     for m1, a in f.items():
         room = cutoff - len(m1)
-        for m2, b in g.items():
+        for m2, b in right:
             if len(m2) > room:
-                continue
+                break
             key = m1 + m2
             v = out.get(key, 0) + a * b
             if v:
@@ -50,7 +56,8 @@ class GroupElement:
     __slots__ = ("presentation", "terms", "_hash")
 
     def __init__(self, presentation: Presentation, terms: dict):
-        assert terms.get((), 0) == 1, "constant term must be 1"
+        if terms.get((), 0) != 1:
+            raise InternalInconsistencyError("constant term must be 1")
         self.presentation = presentation
         self.terms = terms
         self._hash = None
@@ -112,6 +119,8 @@ def identity(presentation: Presentation) -> GroupElement:
 
 @lru_cache(maxsize=None)
 def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupElement:
+    if not 0 <= index < presentation.m:
+        raise ValueError(f"letter index {index} out of range")
     if sign > 0:
         terms = {(): 1, (index,): 1}
     else:
@@ -122,8 +131,6 @@ def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupEle
 def embed(word: Word, presentation: Presentation) -> GroupElement:
     g = identity(presentation)
     for index, sign in word:
-        if not 0 <= index < presentation.m:
-            raise ValueError(f"letter index {index} out of range")
         g = multiply(g, _letter_image(presentation, index, sign))
     return g
 
@@ -135,35 +142,26 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def inverse(g: GroupElement) -> GroupElement:
+    return power(g, -1)
+
+
+def power(g: GroupElement, n: int) -> GroupElement:
     c = g.presentation.c
-    neg_u = {m: -v for m, v in g.terms.items() if m}
+    u = {m: v for m, v in g.terms.items() if m}
     acc = {(): 1}
-    term = {(): 1}
-    for _ in range(c):
-        term = _raw_mul(term, neg_u, c)
-        if not term:
-            break
+    term, coeff, k = u, n, 1
+    while coeff and term:
         for mono, v in term.items():
-            total = acc.get(mono, 0) + v
+            total = acc.get(mono, 0) + coeff * v
             if total:
                 acc[mono] = total
             elif mono in acc:
                 del acc[mono]
+        k += 1
+        coeff = coeff * (n - k + 1) // k  # C(n, k), exact for negative n too
+        if coeff:
+            term = _raw_mul(term, u, c)
     return GroupElement(g.presentation, acc)
-
-
-def power(g: GroupElement, n: int) -> GroupElement:
-    if n < 0:
-        return power(inverse(g), -n)
-    result = identity(g.presentation)
-    base = g
-    while n:
-        if n & 1:
-            result = multiply(result, base)
-        n >>= 1
-        if n:
-            base = multiply(base, base)
-    return result
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -172,3 +170,23 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def weight(g: GroupElement):
     return g.weight()
+
+
+def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:
+    """Image of a parse tree (see words.parse), without expanding it."""
+    if isinstance(expr, Generator):
+        return _letter_image(presentation, expr.index, 1)
+    if isinstance(expr, Inverse):
+        return inverse(evaluate(expr.child, presentation))
+    if isinstance(expr, Power):
+        return power(evaluate(expr.child, presentation), expr.exponent)
+    if isinstance(expr, Product):
+        g = identity(presentation)
+        for child in expr.children:
+            g = multiply(g, evaluate(child, presentation))
+        return g
+    if isinstance(expr, Commutator):
+        return commutator(
+            evaluate(expr.left, presentation), evaluate(expr.right, presentation)
+        )
+    raise TypeError(f"not a word expression: {expr!r}")

@@ -36,9 +36,21 @@ def _graded_mul(f, g, c):
     return [{k: v for k, v in layer.items() if v} for layer in out]
 
 
-def naive_embed(word, m, c):
-    """Letter-by-letter expansion into degree-graded layers; returns a flat
-    monomial -> coefficient dict for comparison with GroupElement.terms."""
+def _graded(flat, c):
+    layers = [{} for _ in range(c + 1)]
+    for mono, v in flat.items():
+        layers[len(mono)][mono] = v
+    return layers
+
+
+def _flat(layers):
+    flat = {}
+    for layer in layers:
+        flat.update(layer)
+    return flat
+
+
+def _graded_embed(word, m, c):
     acc = _graded_one(c)
     for index, sign in word:
         assert 0 <= index < m
@@ -50,10 +62,34 @@ def naive_embed(word, m, c):
         else:
             letter = [{(index,) * d: (-1) ** d} for d in range(c + 1)]
         acc = _graded_mul(acc, letter, c)
-    flat = {}
-    for layer in acc:
-        flat.update(layer)
-    return flat
+    return acc
+
+
+def naive_embed(word, m, c):
+    """Letter-by-letter expansion into degree-graded layers; returns a flat
+    monomial -> coefficient dict for comparison with GroupElement.terms."""
+    return _flat(_graded_embed(word, m, c))
+
+
+def graded_product(f, g, c):
+    """Truncated product of two flat polynomials, computed layer by layer."""
+    return _flat(_graded_mul(_graded(f, c), _graded(g, c), c))
+
+
+def graded_power(word, n, m, c):
+    """Image of word^n by square-and-multiply on graded layers, starting from
+    the letter-by-letter image of the word (of its inverse when n < 0)."""
+    if n < 0:
+        word = tuple((i, -s) for i, s in reversed(word))
+        n = -n
+    base = _graded_embed(word, m, c)
+    acc = _graded_one(c)
+    while n:
+        if n & 1:
+            acc = _graded_mul(acc, base, c)
+        n >>= 1
+        base = _graded_mul(base, base, c)
+    return _flat(acc)
 
 
 # ---------------------------------------------------------------- Heisenberg

@@ -59,6 +59,23 @@ def test_weight(capsys):
     assert json.loads(out) == {"weight": None}
 
 
+def test_nested_powers_are_not_expanded(capsys):
+    # the word has 2 * 10^10 letters; in the Heisenberg group
+    # (ab)^N = a^N b^N [b,a]^C(N,2)
+    n = 10**10
+    word = "((a b)^100000)^100000"
+    code, out, _ = run(capsys, "nf", "-m", "2", "-c", "2", word)
+    assert code == 0
+    assert out.endswith(f"coordinates: ({n}, {n}, {n * (n - 1) // 2})\n")
+
+    # the weight <= 2 coordinates are those of the class-2 quotient
+    code, out, _ = run(capsys, "coords", "-m", "2", "-c", "7", "--format", "json", word)
+    assert code == 0
+    coords = json.loads(out)["coordinates"]
+    assert len(coords) == 41
+    assert coords[:3] == [n, n, n * (n - 1) // 2]
+
+
 def test_coords(capsys):
     code, out, _ = run(capsys, "coords", "-m", "2", "-c", "2", "a^2 b^-1")
     assert code == 0

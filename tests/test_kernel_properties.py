@@ -1,0 +1,100 @@
+"""Property tests of the polynomial kernel against the graded oracles, for
+every class from 1 to 7."""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import graded_power, graded_product, naive_embed
+from nildist.magnus import _raw_mul, embed, evaluate, multiply, power
+from nildist.presentation import Presentation
+from nildist.words import parse, parse_word, word_power
+
+GROUPS = tuple(
+    Presentation(m, c)
+    for m, c in (
+        (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
+        (2, 4), (3, 4), (2, 5), (2, 6), (2, 7),
+    )
+)
+
+KERNEL = settings(max_examples=60, deadline=None)
+
+groups = st.sampled_from(GROUPS)
+
+
+def words(p, max_size):
+    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
+    return st.lists(letter, max_size=max_size).map(tuple)
+
+
+@st.composite
+def polynomials(draw, p):
+    monomial = st.integers(0, p.c).flatmap(
+        lambda d: st.lists(st.integers(0, p.m - 1), min_size=d, max_size=d).map(tuple)
+    )
+    coefficient = st.integers(-3, 3).filter(bool)
+    return draw(st.dictionaries(monomial, coefficient, max_size=12))
+
+
+def expressions(p):
+    names = [p.name_of(i) for i in range(p.m)]
+    leaves = st.sampled_from(names + ["1"])
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(" ".join),
+            st.tuples(children, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda parts: f"[{','.join(parts)}]"
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@KERNEL
+@given(st.data())
+def test_raw_mul_matches_graded_product(data):
+    p = data.draw(groups)
+    f = data.draw(polynomials(p))
+    g = data.draw(polynomials(p))
+    assert _raw_mul(f, g, p.c) == graded_product(f, g, p.c)
+
+
+@KERNEL
+@given(st.data())
+def test_multiply_matches_naive_embed(data):
+    p = data.draw(groups)
+    u = data.draw(words(p, 10))
+    v = data.draw(words(p, 10))
+    assert multiply(embed(u, p), embed(v, p)).terms == naive_embed(u + v, p.m, p.c)
+
+
+@KERNEL
+@given(st.data())
+def test_power_matches_repeated_word(data):
+    p = data.draw(groups)
+    w = data.draw(words(p, 5))
+    n = data.draw(st.integers(-8, 8))
+    assert power(embed(w, p), n).terms == naive_embed(word_power(w, n), p.m, p.c)
+
+
+@KERNEL
+@given(st.data())
+def test_large_power_matches_square_and_multiply(data):
+    p = data.draw(groups)
+    w = data.draw(words(p, 4))
+    n = data.draw(st.integers(10**6 - 50, 10**6 + 50)) * data.draw(
+        st.sampled_from((1, -1))
+    )
+    assert power(embed(w, p), n).terms == graded_power(w, n, p.m, p.c)
+
+
+@KERNEL
+@given(st.data())
+def test_evaluate_matches_expanded_word(data):
+    p = data.draw(groups)
+    text = data.draw(expressions(p))
+    word = parse_word(text, p)
+    assume(len(word) <= 400)
+    assert evaluate(parse(text, p), p) == embed(word, p)

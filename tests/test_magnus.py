@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nildist
 from oracles import heis_eval, naive_embed, random_word
 from nildist.magnus import (
     commutator,
@@ -60,7 +65,7 @@ def test_power_matches_repeated_multiplication():
             acc = identity(p)
             for n in range(8):
                 assert power(g, n) == acc
-                assert power(g, -n) == inverse(acc)
+                assert multiply(power(g, -n), acc).is_identity()
                 acc = multiply(acc, g)
 
 
@@ -138,3 +143,26 @@ def test_mismatched_presentations_rejected():
         multiply(identity(P22), identity(P23))
     with pytest.raises(ValueError):
         embed(((5, 1),), P22)
+
+
+def test_invariant_checks_survive_optimize():
+    # python -O strips assert statements; the invariants must still raise
+    script = """
+from nildist import hall
+from nildist.errors import InternalInconsistencyError
+from nildist.magnus import GroupElement
+from nildist.presentation import Presentation
+hall.witt_number = lambda m, k: 0  # the Hall basis count can no longer match
+p = Presentation(2, 3)
+for build in (lambda: GroupElement(p, {(): 2}), lambda: hall.HallBasis(p)):
+    try:
+        build()
+    except InternalInconsistencyError:
+        continue
+    raise SystemExit("no InternalInconsistencyError")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(nildist.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
