@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, malformed words),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser; built once per process, since building it costs
+    more than most commands.  parse_args leaves it unchanged."""
     common = _ArgumentParser(add_help=False)
     common.add_argument("-m", type=int, required=True, help="number of generators")
     common.add_argument("-c", type=int, required=True, help="nilpotency class")
@@ -196,7 +200,7 @@ def _run(args) -> str:
 
     if args.command == "exponent":
         fmt = _pick_format(args, "text")
-        d = cyclic_distortion_exponent(parse_word(args.word, presentation), presentation)
+        d = cyclic_distortion_exponent(_element(args.word, presentation), presentation)
         if fmt == "json":
             return json.dumps({"exponent": d}, sort_keys=True)
         return str(d)

@@ -27,7 +27,14 @@ trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
 r(H) -> 1 happens exactly when H and r(H) have equal Hirsch length.  When
 they differ, any insertion on the r(H) side that collapsed to the identity
 pulls back (through tracked preimage words) to a candidate element of
-H \cap N; nontrivial ones are kernel witnesses.
+H \cap N; nontrivial ones are kernel witnesses, and each reported witness is
+checked to die under r.
+
+Preimage words.  Exchange steps and commutators compound preimage words
+exponentially (10^9 letters and more at F(3,3)), so elimination tracks each
+one as a straight-line program (words.Slp): every step adds one O(1) node
+over the nodes it combines.  Only the relations scored as witness candidates
+are ever expanded into letters.
 """
 
 from __future__ import annotations
@@ -35,20 +42,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalInconsistencyError
 from .hall import hall_basis, to_coordinates
 from .intmat import IntMatrix, hermite_normal_form, rank
 from .magnus import GroupElement, embed, inverse, multiply, power
 from .presentation import Presentation
-from .words import (
-    Word,
-    commutator_word,
-    free_reduce,
-    format_word,
-    invert_word,
-    substitute,
-    word_power,
-)
+from .words import Slp, Word, free_reduce, format_word, substitute, word_power
 
 DEFAULT_MAX_EVENTS = 10**6
 
@@ -153,7 +152,8 @@ class SubgroupStandardBasis:
     entries are ordered by strictly increasing pivot; each carries its
     coordinate vector and a preimage word over the input generator symbols.
     relations collects preimage words that collapsed to the identity during
-    elimination (useful to the caller, e.g. for kernel witnesses).
+    elimination (useful to the caller, e.g. for kernel witnesses).  Preimage
+    words are words.Slp nodes; expand() spells one out.
     """
 
     def __init__(self, presentation, entries, relations):
@@ -176,7 +176,7 @@ class _Eliminator:
         self.events = 0
         self.slots: dict[int, _Entry] = {}
         self.queue: deque = deque()
-        self.relations: list[Word] = []
+        self.relations: list[Slp] = []
 
     def _tick(self):
         self.events += 1
@@ -191,7 +191,7 @@ class _Eliminator:
         for t in others:
             self.queue.append((entry, t))
 
-    def insert(self, element: GroupElement, word: Word):
+    def insert(self, element: GroupElement, word: Slp):
         coords = to_coordinates(element)
         while True:
             self._tick()
@@ -203,7 +203,7 @@ class _Eliminator:
             if current is None:
                 if coords[j] < 0:
                     element = inverse(element)
-                    word = invert_word(word)
+                    word = word.inverse()
                     coords = to_coordinates(element)
                 self._install(_Entry(element, coords, word, j))
                 return
@@ -211,7 +211,7 @@ class _Eliminator:
             q = coords[j] // a
             if q:
                 element = multiply(power(current.element, -q), element)
-                word = free_reduce(word_power(current.word, -q) + word)
+                word = Slp.product(current.word, -q, word, 1)
                 coords = to_coordinates(element)
             if coords[j] == 0 or _pivot(coords) != j:
                 continue
@@ -230,7 +230,7 @@ class _Eliminator:
                     multiply(inverse(ea.element), inverse(eb.element)),
                     multiply(ea.element, eb.element),
                 )
-                word = commutator_word(ea.word, eb.word)
+                word = Slp.commutator(ea.word, eb.word)
             else:
                 element, word = item
             self.insert(element, word)
@@ -245,7 +245,7 @@ class _Eliminator:
                 q = e // a
                 if q:
                     element = multiply(entries[si].element, power(t.element, -q))
-                    word = free_reduce(entries[si].word + word_power(t.word, -q))
+                    word = Slp.product(entries[si].word, 1, t.word, -q)
                     entries[si] = _Entry(
                         element, to_coordinates(element), word, entries[si].pivot
                     )
@@ -259,7 +259,7 @@ def induced_basis(
     eliminator = _Eliminator(presentation, max_events)
     for i, word in enumerate(gens):
         word = tuple(word)
-        eliminator.queue.append((embed(word, presentation), ((i, 1),)))
+        eliminator.queue.append((embed(word, presentation), Slp.letter(i)))
     eliminator.run()
     entries = eliminator.finish()
     return SubgroupStandardBasis(presentation, entries, eliminator.relations)
@@ -287,9 +287,12 @@ def hirsch_length(basis: SubgroupStandardBasis) -> int:
     return len(basis)
 
 
-def cyclic_distortion_exponent(word: Word, presentation: Presentation) -> int:
-    """Distortion exponent of the cyclic subgroup generated by one word."""
-    g = embed(word, presentation)
+def cyclic_distortion_exponent(
+    word: Word | GroupElement, presentation: Presentation
+) -> int:
+    """Distortion exponent of the cyclic subgroup generated by one word, or
+    by one group element."""
+    g = word if isinstance(word, GroupElement) else embed(word, presentation)
     if g.is_identity():
         raise ValueError("the trivial element generates no cyclic subgroup")
     return g.weight()
@@ -430,7 +433,7 @@ def decide_undistorted(
     witness = None
     best_key = None
     for relation in basis_D.relations:
-        ambient = free_reduce(substitute(relation, gens))
+        ambient = free_reduce(substitute(relation.expand(), gens))
         g = embed(ambient, presentation)
         if g.is_identity():
             continue
@@ -439,6 +442,8 @@ def decide_undistorted(
         if best_key is None or key < best_key:
             best_key = key
             witness = (ambient, wt)
+    if witness is not None and not apply_retraction(retraction, witness[0]).is_identity():
+        raise InternalInconsistencyError("the kernel witness survives the retraction")
     return DistortionReport(
         presentation,
         "distorted",

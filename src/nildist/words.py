@@ -17,15 +17,25 @@ performs no free reduction; a word is exactly the letter sequence written.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 
-from .errors import ExponentOverflowError, UnknownGeneratorError, WordSyntaxError
+from .errors import (
+    CapExceededError,
+    ExponentOverflowError,
+    UnknownGeneratorError,
+    WordSyntaxError,
+)
 from .presentation import Presentation
 
 # Flattening repeats letters |exponent| times, so bound the exponent a parse
 # will accept rather than letting a stray "a^99999999999" eat all memory.
 MAX_EXPONENT = 10**6
+
+# Nested powers multiply their exponents, so also bound the letters of any
+# word spelled out in full: a flattened parse tree or an expanded Slp.
+MAX_LETTERS = 10**7
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 Word = tuple[Letter, ...]
@@ -180,26 +190,50 @@ def parse(text: str, presentation: Presentation) -> WordExpr:
     return expr
 
 
+def _check_letters(count: int) -> None:
+    if count > MAX_LETTERS:
+        raise CapExceededError(
+            f"word of {count} letters exceeds the limit {MAX_LETTERS}"
+        )
+
+
+def letter_count(expr: WordExpr) -> int:
+    """len(flatten(expr)), computed without expanding anything."""
+    if isinstance(expr, Generator):
+        return 1
+    if isinstance(expr, Inverse):
+        return letter_count(expr.child)
+    if isinstance(expr, Power):
+        return abs(expr.exponent) * letter_count(expr.child)
+    if isinstance(expr, Product):
+        return sum(letter_count(child) for child in expr.children)
+    if isinstance(expr, Commutator):
+        return 2 * (letter_count(expr.left) + letter_count(expr.right))
+    raise TypeError(f"not a word expression: {expr!r}")
+
+
 def flatten(expr: WordExpr) -> Word:
-    """Expand a parse tree into a letter sequence, without free reduction."""
+    """Expand a parse tree into a letter sequence, without free reduction.
+
+    Raises CapExceededError, before expanding, past MAX_LETTERS letters."""
+    _check_letters(letter_count(expr))
+    return _flatten(expr)
+
+
+def _flatten(expr: WordExpr) -> Word:
     if isinstance(expr, Generator):
         return ((expr.index, 1),)
     if isinstance(expr, Inverse):
-        return invert_word(flatten(expr.child))
+        return invert_word(_flatten(expr.child))
     if isinstance(expr, Power):
-        base = flatten(expr.child)
-        if expr.exponent < 0:
-            base = invert_word(base)
-        return base * abs(expr.exponent)
+        return word_power(_flatten(expr.child), expr.exponent)
     if isinstance(expr, Product):
         out = []
         for child in expr.children:
-            out.extend(flatten(child))
+            out.extend(_flatten(child))
         return tuple(out)
     if isinstance(expr, Commutator):
-        u = flatten(expr.left)
-        v = flatten(expr.right)
-        return invert_word(u) + invert_word(v) + u + v
+        return commutator_word(_flatten(expr.left), _flatten(expr.right))
     raise TypeError(f"not a word expression: {expr!r}")
 
 
@@ -230,8 +264,81 @@ def free_reduce(word: Word) -> Word:
     return tuple(out)
 
 
+class Slp:
+    """A word as a straight-line program: one node of a DAG over letters.
+
+    A node is a letter, the inverse of a node, the free-reduced product
+    x^a y^b, or the commutator [x, y] (not reduced).  Building one is O(1)
+    and touches no letters; len() is the letter count of the unreduced word
+    it denotes (capped at sys.maxsize), kept from construction.  expand()
+    spells the word out and keeps it, so shared nodes are spelled once.
+    """
+
+    __slots__ = ("kind", "x", "y", "a", "b", "letters", "_word")
+
+    def __init__(self, kind, x, y, letters, a=1, b=1, word=None):
+        self.kind = kind
+        self.x = x
+        self.y = y
+        self.a = a
+        self.b = b
+        self.letters = letters
+        self._word = word
+
+    @staticmethod
+    def letter(index: int) -> "Slp":
+        return Slp("letter", None, None, 1, word=((index, 1),))
+
+    def inverse(self) -> "Slp":
+        return Slp("inverse", self, None, self.letters)
+
+    @staticmethod
+    def product(x: "Slp", a: int, y: "Slp", b: int) -> "Slp":
+        """free_reduce(x^a y^b)"""
+        return Slp("product", x, y, abs(a) * x.letters + abs(b) * y.letters, a, b)
+
+    @staticmethod
+    def commutator(x: "Slp", y: "Slp") -> "Slp":
+        return Slp("commutator", x, y, 2 * (x.letters + y.letters))
+
+    def __len__(self) -> int:
+        return min(self.letters, sys.maxsize)
+
+    def expand(self) -> Word:
+        """The word, raising CapExceededError before any step would build
+        more than MAX_LETTERS letters.  The walk is iterative: the DAG runs
+        as deep as the elimination that built it."""
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node._word is not None:
+                stack.pop()
+                continue
+            pending = [c for c in (node.x, node.y) if c is not None and c._word is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            node._word = node._spell()
+        return self._word
+
+    def _spell(self) -> Word:
+        x = self.x._word
+        if self.kind == "inverse":
+            return invert_word(x)
+        y = self.y._word
+        if self.kind == "commutator":
+            _check_letters(2 * (len(x) + len(y)))
+            return commutator_word(x, y)
+        _check_letters(abs(self.a) * len(x) + abs(self.b) * len(y))
+        return free_reduce(word_power(x, self.a) + word_power(y, self.b))
+
+
 def substitute(word: Word, replacements: list[Word] | tuple[Word, ...]) -> Word:
-    """Map letter (j, s) to replacements[j] (inverted when s < 0)."""
+    """Map letter (j, s) to replacements[j] (inverted when s < 0).
+
+    Raises CapExceededError, before building it, past MAX_LETTERS letters."""
+    _check_letters(sum(len(replacements[index]) for index, _ in word))
     out: list[Letter] = []
     for index, sign in word:
         piece = replacements[index]

@@ -1,6 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
-from nildist.cli import main
+import nildist
+from nildist.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -224,3 +230,65 @@ def test_cap_exceeded_exits_2(capsys):
 def test_bad_presentation_exits_1(capsys):
     code, _, err = run(capsys, "nf", "-m", "0", "-c", "2", "a")
     assert code == 1
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    calls = [
+        ("analyze", "-m", "2", "-c", "2", "a", "[a,b]"),
+        ("nf", "-m", "2", "-c", "3", "--format", "json", "a b a^-1"),
+        ("nf", "-m", "2", "-c", "2", "--format", "csv", "a"),  # usage error
+        ("analyze", "-m", "2", "-c", "2", "--format", "text", "a", "[a,b]"),
+        ("measure", "-m", "2", "-c", "2", "--radius", "4", "[a,b]"),
+        ("exponent", "-m", "2", "-c", "3", "[a,[a,b]]"),
+        ("coords", "-m", "2", "-c", "2", "a^2 b^-1"),
+        ("hall", "-m", "2", "-c", "3", "--format", "json"),
+    ]
+    build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    for argv, result in zip(calls, reused):
+        build_parser.cache_clear()
+        assert run(capsys, *argv) == result
+
+
+def run_limited(*argv):
+    """The CLI in a fresh process whose address space is capped at 256 MB."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(nildist.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "nildist.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        timeout=120,
+    )
+
+
+def test_nested_powers_in_word_commands():
+    word = "((a b)^100000)^100000"  # 2 * 10^10 letters
+    result = run_limited("exponent", "-m", "2", "-c", "2", word)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+    for command in ("analyze", "measure"):
+        result = run_limited(command, "-m", "2", "-c", "2", word)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "cap exceeded" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_preimage_words_stay_compressed():
+    # elimination builds preimage words of 10^9 letters and more here; the
+    # verdict reads none of them
+    for c, hirsch in ((3, 14), (4, 32)):
+        result = run_limited(
+            "analyze", "-m", "3", "-c", str(c), "a^2b[a,c]", "b^3c^-1", "[a,b,c]a"
+        )
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        assert data["verdict"] == "undistorted"
+        assert data["k"] == 3
+        assert data["hirsch"] == {"H": hirsch, "rH": hirsch, "F": hirsch}

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from oracles import closure_products, element_ball, random_word
-from nildist.errors import CapExceededError
+from nildist import subgroups
+from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
 from nildist.magnus import embed, identity, inverse, multiply
 from nildist.presentation import Presentation, free_nilpotent_hirsch_length
@@ -160,11 +161,10 @@ def test_induced_basis_shape_invariants():
                 assert member(basis, embed(w, p))
             # each entry's word really spells the entry out of the generators
             for t in basis.entries:
-                assert embed(substitute(t.word, gens), p) == t.element
+                assert embed(substitute(t.word.expand(), gens), p) == t.element
             # relations spell the identity out of the generators
             for rel in basis.relations:
-                g = embed(substitute(rel, gens), p)
-                assert member(basis, g)
+                assert embed(substitute(rel.expand(), gens), p).is_identity()
 
 
 def test_member_fixtures():
@@ -302,6 +302,14 @@ def test_decide_distorted_with_positive_rank():
         abelianized_basis(words(P22, "a", "[a,b]"), P22), P22
     )
     assert apply_retraction(retraction, word).is_identity()
+
+
+def test_decide_checks_the_witness_certificate(monkeypatch):
+    # a witness that the retraction does not kill is refused, not reported
+    spoiled = lambda word, gens: substitute(word, gens) + ((0, 1),)
+    monkeypatch.setattr(subgroups, "substitute", spoiled)
+    with pytest.raises(InternalInconsistencyError):
+        decide_undistorted(words(P22, "a", "[a,b]"), P22)
 
 
 def test_decide_trivial_subgroup():

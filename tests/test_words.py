@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from nildist.errors import (
+    CapExceededError,
     ExponentOverflowError,
     UnknownGeneratorError,
     WordSyntaxError,
@@ -13,11 +15,13 @@ from nildist.words import (
     Generator,
     Power,
     Product,
+    Slp,
     commutator_word,
     flatten,
     format_word,
     free_reduce,
     invert_word,
+    letter_count,
     parse,
     parse_word,
     substitute,
@@ -100,6 +104,65 @@ def test_flatten_length_arithmetic():
         assert len(word_power(u, n)) == abs(n) * len(u)
         assert len(commutator_word(u, v)) == 2 * (len(u) + len(v))
         assert invert_word(invert_word(u)) == u
+
+
+def test_flatten_refuses_words_past_the_letter_cap():
+    for text in ("a [a,b]^3 (a b^-1)^-2", "[a,b,a]^5 b", "1", "(a^2 [b,a])^-3"):
+        expr = parse(text, P22)
+        assert letter_count(expr) == len(flatten(expr))
+    # 2 * 10^10 letters: refused before anything is expanded
+    expr = parse("((a b)^100000)^100000", P22)
+    assert letter_count(expr) == 2 * 10**10
+    with pytest.raises(CapExceededError):
+        flatten(expr)
+    assert len(parse_word("a^1000000 b^1000000", P22)) == 2 * 10**6
+
+
+def _random_slp(rng, m, steps):
+    """Random Slp nodes, each next to the word the eliminator's word
+    arithmetic builds for it."""
+    pool = [(Slp.letter(i), ((i, 1),)) for i in range(m)]
+    for _ in range(steps):
+        (x, xw), (y, yw) = rng.choice(pool), rng.choice(pool)
+        n = rng.choice((-2, -1, 1, 2))
+        kind = rng.randrange(4)
+        if kind == 0:
+            pool.append((x.inverse(), invert_word(xw)))
+        elif kind == 1:
+            pool.append((Slp.product(x, n, y, 1), free_reduce(word_power(xw, n) + yw)))
+        elif kind == 2:
+            pool.append((Slp.product(x, 1, y, n), free_reduce(xw + word_power(yw, n))))
+        else:
+            pool.append((Slp.commutator(x, y), commutator_word(xw, yw)))
+    return pool
+
+
+def test_slp_expands_to_the_word_arithmetic_letter_for_letter():
+    rng = random.Random(11)
+    for _ in range(30):
+        pool = _random_slp(rng, 3, 12)
+        for node, word in reversed(pool):
+            assert node.expand() == word
+            # len() is the unreduced letter count, an upper bound
+            assert len(node) >= len(word)
+
+
+def test_slp_expansion_is_iterative_and_capped():
+    # a chain far deeper than the recursion limit
+    a, b = Slp.letter(0), Slp.letter(1)
+    node = a
+    for _ in range(5 * sys.getrecursionlimit()):
+        node = Slp.product(b, -1, Slp.product(b, 1, node, 1), 1)
+    assert node.expand() == ((0, 1),)
+    # length grows fourfold at each commutator, without expanding anything
+    node = Slp.commutator(a, b)
+    for _ in range(80):
+        node = Slp.commutator(node, node.inverse())
+    assert node.letters == 4**81
+    assert len(node) == sys.maxsize
+    # expansion refuses a step past the cap before building it
+    with pytest.raises(CapExceededError):
+        Slp.product(a, 10**8, b, 1).expand()
 
 
 def test_free_reduce():
