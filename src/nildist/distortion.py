@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .hall import to_coordinates
+from .hall import coordinate_blocks
 from .magnus import embed, identity, inverse, multiply
 from .presentation import Presentation
 from .subgroups import induced_basis, member
@@ -129,6 +129,11 @@ def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap):
     return found
 
 
+def _coordinate(g, j):
+    """Mal'cev coordinate j of g, peeled only as far as j's weight block."""
+    return next(e[j - block.start] for block, e in coordinate_blocks(g) if j in block)
+
+
 def measure_distortion(
     gens,
     presentation: Presentation,
@@ -150,7 +155,7 @@ def measure_distortion(
         entry = basis.entries[0]
         j = entry.pivot
         a = entry.coords[j]
-        hlengths = {g: abs(to_coordinates(g)[j] // a) for g in members}
+        hlengths = {g: abs(_coordinate(g, j) // a) for g in members}
     elif len(basis) == 0:
         hlengths = dict.fromkeys(members, 0)
     else:

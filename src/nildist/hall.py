@@ -11,14 +11,15 @@ listed in order, and the exponent vector (e1, ..., eL) is the element's
 coordinate tuple.  The two directions:
 
   * from_coordinates multiplies the ordered powers out;
-  * to_coordinates peels one weight at a time.  If the residual lies in the
-    weight-w term of the lower central series, the degree-w part of its
-    polynomial image is an integer combination of the Lie expansions of the
-    weight-w basis entries; solving that linear system yields the exponents,
-    and left-multiplying the residual by b_i^-e_i for each weight-w entry,
-    in basis order, pushes it one weight deeper.  The system matrix per
-    weight is fixed, so its Hermite form is computed once per presentation
-    and reused for every solve.
+  * coordinate_blocks peels one weight at a time, lazily.  If the residual
+    lies in the weight-w term of the lower central series, the degree-w part
+    of its polynomial image is an integer combination of the Lie expansions
+    of the weight-w basis entries; solving that linear system yields the
+    exponents, and left-multiplying the residual by b_i^-e_i for each
+    weight-w entry, in basis order, pushes it one weight deeper only when the
+    next block is asked for, so a caller that stops early never pays for the
+    deeper weights; to_coordinates drains every block.  The system matrix per
+    weight is fixed, so its Hermite form is computed once per presentation.
 """
 
 from __future__ import annotations
@@ -153,13 +154,17 @@ def lie_expand(basis: HallBasis, index: int) -> dict:
     return dict(basis.lie(index))
 
 
-def to_coordinates(g: GroupElement) -> MalcevCoords:
+def coordinate_blocks(g: GroupElement):
+    """Yield (block, exponents) for g weight by weight, peeling the residual
+    past a block only when the next one is asked for.  Draining the generator
+    checks that the peel ends at the identity."""
     basis = hall_basis(g.presentation)
-    coords = [0] * len(basis)
     residual = g
     for w in range(1, g.presentation.c + 1):
+        block = basis.block(w)
         part = residual.homogeneous(w)
         if not part:
+            yield block, (0,) * len(block)
             continue
         vector = [part.get(mono, 0) for mono in basis._monomials[w]]
         exponents = basis._solvers[w].solve(vector)
@@ -167,13 +172,16 @@ def to_coordinates(g: GroupElement) -> MalcevCoords:
             raise InternalInconsistencyError(
                 f"degree-{w} part is not a combination of basic commutators"
             )
-        for i, e in zip(basis.block(w), exponents):
-            coords[i] = e
+        yield block, exponents
+        for i, e in zip(block, exponents):
             if e:
                 residual = multiply(power(basis.element(i), -e), residual)
     if not residual.is_identity():
         raise InternalInconsistencyError("nonzero residual after peeling all weights")
-    return tuple(coords)
+
+
+def to_coordinates(g: GroupElement) -> MalcevCoords:
+    return tuple(e for _, exponents in coordinate_blocks(g) for e in exponents)
 
 
 def from_coordinates(coords, presentation: Presentation) -> GroupElement:

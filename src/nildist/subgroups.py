@@ -19,8 +19,12 @@ generator, exchange along pivots by Euclidean steps (pivot exponents add on
 first nonzero coordinates, so the usual gcd argument applies), and whenever
 an element is installed, enqueue its commutators with the elements already
 present.  Commutators sit strictly deeper in the coordinate filtration, so
-the queue drains.  The number of basis elements is the Hirsch length, and
-membership is decided by greedy pivot reduction.
+the queue drains.  The number of basis elements is the Hirsch length;
+back-reducing the entries above each pivot waits for the first read of
+SubgroupStandardBasis.entries.  Membership is greedy pivot reduction over a
+lazy peel (hall.coordinate_blocks): the first nonzero weight block holds the
+pivot and either decides (no entry there, or a pivot value that does not
+divide) or gives the next reduction step; deeper blocks are never peeled.
 
 The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
@@ -41,13 +45,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceededError, InternalInconsistencyError
-from .hall import hall_basis, to_coordinates
+from .hall import coordinate_blocks, to_coordinates
 from .intmat import IntMatrix, hermite_normal_form, rank
 from .magnus import GroupElement, embed, inverse, multiply, power
 from .presentation import Presentation
-from .words import Slp, Word, free_reduce, format_word, substitute, word_power
+from .words import Slp, Word, free_reduce, format_word, substitute
 
 DEFAULT_MAX_EVENTS = 10**6
 
@@ -63,7 +68,6 @@ def exponent_vector(word: Word, m: int) -> list[int]:
 class AbelianizedBasis:
     presentation: Presentation
     k: int
-    b_words: tuple[Word, ...]
     completion: tuple[int, ...]
 
 
@@ -71,14 +75,8 @@ def abelianized_basis(gens, presentation: Presentation) -> AbelianizedBasis:
     gens = [tuple(w) for w in gens]
     m = presentation.m
     matrix = IntMatrix([exponent_vector(w, m) for w in gens])
-    h, u = hermite_normal_form(matrix)
+    h, _ = hermite_normal_form(matrix)
     k = sum(1 for row in h.data if any(row))
-    b_words = []
-    for i in range(k):
-        word: list = []
-        for j, coeff in enumerate(u.row(i)):
-            word.extend(word_power(gens[j], coeff))
-        b_words.append(free_reduce(tuple(word)))
     base_rows = [list(h.row(i)) for i in range(k)]
     completion: list[int] = []
     for j in range(m):
@@ -91,7 +89,7 @@ def abelianized_basis(gens, presentation: Presentation) -> AbelianizedBasis:
             stacked.append(row)
         if rank(IntMatrix(stacked)) == len(stacked):
             completion.append(j)
-    return AbelianizedBasis(presentation, k, tuple(b_words), tuple(completion))
+    return AbelianizedBasis(presentation, k, tuple(completion))
 
 
 @dataclass(frozen=True)
@@ -149,24 +147,42 @@ def _pivot(coords) -> int | None:
 class SubgroupStandardBasis:
     """Pivoted generating sequence of a subgroup.
 
-    entries are ordered by strictly increasing pivot; each carries its
-    coordinate vector and a preimage word over the input generator symbols.
-    relations collects preimage words that collapsed to the identity during
-    elimination (useful to the caller, e.g. for kernel witnesses).  Preimage
-    words are words.Slp nodes; expand() spells one out.
+    slot, member and len read the eliminator's pivoted sequence; entries is
+    that sequence by strictly increasing pivot, back-reduced (entries above
+    each pivot into [0, pivot), pivot values unchanged) on first read.  Each
+    entry carries its coordinate vector and a preimage word over the input
+    generator symbols.  relations collects preimage words that collapsed to
+    the identity during elimination (useful to the caller, e.g. for kernel
+    witnesses).  Preimage words are words.Slp nodes; expand() spells one out.
     """
 
-    def __init__(self, presentation, entries, relations):
+    def __init__(self, presentation, slots, relations):
         self.presentation = presentation
-        self.entries = tuple(entries)
         self.relations = tuple(relations)
-        self._slots = {e.pivot: e for e in self.entries}
+        self._slots = dict(slots)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._slots)
 
     def slot(self, pivot: int):
         return self._slots.get(pivot)
+
+    @cached_property
+    def entries(self) -> tuple[_Entry, ...]:
+        entries = [self._slots[j] for j in sorted(self._slots)]
+        for si in range(len(entries)):
+            for ti in range(si + 1, len(entries)):
+                t = entries[ti]
+                a = t.coords[t.pivot]
+                e = entries[si].coords[t.pivot]
+                q = e // a
+                if q:
+                    element = multiply(entries[si].element, power(t.element, -q))
+                    word = Slp.product(entries[si].word, 1, t.word, -q)
+                    entries[si] = _Entry(
+                        element, to_coordinates(element), word, entries[si].pivot
+                    )
+        return tuple(entries)
 
 
 class _Eliminator:
@@ -235,22 +251,6 @@ class _Eliminator:
                 element, word = item
             self.insert(element, word)
 
-    def finish(self) -> list[_Entry]:
-        entries = [self.slots[j] for j in sorted(self.slots)]
-        for si in range(len(entries)):
-            for ti in range(si + 1, len(entries)):
-                t = entries[ti]
-                a = t.coords[t.pivot]
-                e = entries[si].coords[t.pivot]
-                q = e // a
-                if q:
-                    element = multiply(entries[si].element, power(t.element, -q))
-                    word = Slp.product(entries[si].word, 1, t.word, -q)
-                    entries[si] = _Entry(
-                        element, to_coordinates(element), word, entries[si].pivot
-                    )
-        return entries
-
 
 def induced_basis(
     gens, presentation: Presentation, *, max_events: int = DEFAULT_MAX_EVENTS
@@ -261,26 +261,27 @@ def induced_basis(
         word = tuple(word)
         eliminator.queue.append((embed(word, presentation), Slp.letter(i)))
     eliminator.run()
-    entries = eliminator.finish()
-    return SubgroupStandardBasis(presentation, entries, eliminator.relations)
+    return SubgroupStandardBasis(presentation, eliminator.slots, eliminator.relations)
 
 
 def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
     if g.presentation != basis.presentation:
         raise ValueError("element and basis live in different presentations")
-    coords = to_coordinates(g)
     while True:
-        j = _pivot(coords)
-        if j is None:
+        # the first nonzero block holds g's pivot and decides or reduces
+        for block, exponents in coordinate_blocks(g):
+            if any(exponents):
+                break
+        else:
             return True
-        entry = basis.slot(j)
+        i = _pivot(exponents)
+        entry = basis.slot(block.start + i)
         if entry is None:
             return False
-        a = entry.coords[j]
-        if coords[j] % a:
+        a = entry.coords[entry.pivot]
+        if exponents[i] % a:
             return False
-        g = multiply(power(entry.element, -(coords[j] // a)), g)
-        coords = to_coordinates(g)
+        g = multiply(power(entry.element, -(exponents[i] // a)), g)
 
 
 def hirsch_length(basis: SubgroupStandardBasis) -> int:
@@ -409,13 +410,7 @@ def decide_undistorted(
     if hirsch_H == hirsch_rH:
         kept_names = ", ".join(presentation.name_of(i) for i in retraction.kept)
         killed_names = ", ".join(presentation.name_of(i) for i in retraction.killed)
-        b_strs = ", ".join(format_word(w, presentation) for w in ab.b_words)
-        description = (
-            f"HN = gp<{b_strs}"
-            + (f", {killed_names}" if killed_names else "")
-            + f"> has finite index; r fixes gp<{kept_names}> and kills "
-            + (killed_names or "nothing")
-        )
+        description = f"r fixes gp<{kept_names}> and kills {killed_names or 'nothing'}"
         return DistortionReport(
             presentation,
             "undistorted",

@@ -11,7 +11,8 @@ package is the point of the tests that import them.
 from fractions import Fraction
 from itertools import product as cartesian
 
-from nildist.magnus import identity, inverse, multiply
+from nildist.hall import to_coordinates
+from nildist.magnus import identity, inverse, multiply, power
 
 
 # ---------------------------------------------------------------- polynomials
@@ -222,6 +223,27 @@ def closure_products(gen_elements, max_factors):
         out |= new
         frontier = new
     return out
+
+
+# ---------------------------------------------------------------- membership
+
+def greedy_member(basis, g):
+    """Membership by greedy pivot reduction on full coordinate vectors: peel
+    every weight, reduce the first nonzero coordinate by the basis entry with
+    that pivot, and start over."""
+    coords = to_coordinates(g)
+    while True:
+        j = next((i for i, v in enumerate(coords) if v), None)
+        if j is None:
+            return True
+        entry = basis.slot(j)
+        if entry is None:
+            return False
+        a = entry.coords[j]
+        if coords[j] % a:
+            return False
+        g = multiply(power(entry.element, -(coords[j] // a)), g)
+        coords = to_coordinates(g)
 
 
 # ------------------------------------------------------------- random inputs

@@ -292,3 +292,11 @@ def test_preimage_words_stay_compressed():
         assert data["verdict"] == "undistorted"
         assert data["k"] == 3
         assert data["hirsch"] == {"H": hirsch, "rH": hirsch, "F": hirsch}
+
+
+def test_long_abelianized_combinations_are_not_spelled_out():
+    # the Hermite transform combines these generators with coefficients near
+    # 10^4; spelling the combinations out as letters ran out of memory
+    result = run_limited("analyze", "-m", "2", "-c", "2", "a^10000 b^9999", "a^9999 b^9998")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["verdict"] == "undistorted"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import closure_products, element_ball, random_word
+from oracles import bareiss_rank, closure_products, element_ball, random_word
 from nildist import subgroups
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
@@ -56,7 +56,9 @@ def test_abelianized_examples():
     assert ab.completion == (0, 1)
 
 
-def test_abelianized_b_words_have_full_rank_image():
+def test_abelianized_rank_and_completion_span():
+    # k is the rank of the generators' abelianized images, and the completion
+    # generators extend those images to a rank-m family
     rng = random.Random(61)
     for p in (P22, P32):
         for _ in range(40):
@@ -65,9 +67,7 @@ def test_abelianized_b_words_have_full_rank_image():
                 for _ in range(rng.randint(1, 3))
             ]
             ab = abelianized_basis(gens, p)
-            from oracles import bareiss_rank
-
-            vecs = [exponent_vector(w, p.m) for w in ab.b_words]
+            vecs = [exponent_vector(w, p.m) for w in gens]
             assert bareiss_rank(vecs) == ab.k
             full = vecs + [
                 [1 if i == j else 0 for i in range(p.m)] for j in ab.completion
