@@ -24,14 +24,18 @@ INVARIANCE_GROUPS = GROUPS + (Presentation(2, 4),)
 SUBGROUPS = settings(max_examples=100, deadline=None)
 
 
-@st.composite
-def subgroups(draw):
-    p = draw(st.sampled_from(GROUPS))
+def _generators(p):
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     short = st.lists(letter, min_size=1, max_size=3).map(tuple)
     # some generators are commutators, so derived and mixed subgroups occur
     word = st.one_of(short, st.tuples(short, short).map(lambda t: commutator_word(*t)))
-    return p, draw(st.lists(word, min_size=2, max_size=3))
+    return st.lists(word, min_size=2, max_size=3)
+
+
+@st.composite
+def subgroups(draw):
+    p = draw(st.sampled_from(GROUPS))
+    return p, draw(_generators(p))
 
 
 @SUBGROUPS
@@ -82,10 +86,7 @@ def moved_subgroups(draw):
     each move: permuted generators, the Tietze move g_i <- g_i g_j, and the
     ambient generators relabelled."""
     p = draw(st.sampled_from(INVARIANCE_GROUPS))
-    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
-    short = st.lists(letter, min_size=1, max_size=3).map(tuple)
-    word = st.one_of(short, st.tuples(short, short).map(lambda t: commutator_word(*t)))
-    gens = draw(st.lists(word, min_size=2, max_size=3))
+    gens = draw(_generators(p))
     permuted = [gens[i] for i in draw(st.permutations(range(len(gens))))]
     i, j = draw(st.permutations(range(len(gens))))[:2]
     tietze = list(gens)
