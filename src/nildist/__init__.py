@@ -2,14 +2,7 @@
 standard bases, retraction-based distortion decisions, and empirical
 distortion measurement in Cayley balls."""
 
-from .distortion import (
-    BallIndex,
-    DistortionRow,
-    DistortionTable,
-    enumerate_ball,
-    estimate_exponent,
-    measure_distortion,
-)
+from .distortion import enumerate_ball, estimate_exponent, measure_distortion
 from .errors import (
     CapExceededError,
     ExponentOverflowError,
@@ -18,134 +11,40 @@ from .errors import (
     UnknownGeneratorError,
     WordSyntaxError,
 )
-from .hall import (
-    BasicCommutator,
-    HallBasis,
-    from_coordinates,
-    hall_basis,
-    lie_expand,
-    normal_form_str,
-    to_coordinates,
-)
-from .intmat import (
-    IntMatrix,
-    hermite_normal_form,
-    rank,
-    smith_normal_form,
-    solve_integer,
-)
-from .magnus import (
-    GroupElement,
-    commutator,
-    embed,
-    evaluate,
-    identity,
-    inverse,
-    multiply,
-    power,
-    weight,
-)
-from .presentation import (
-    DEFAULT_HIRSCH_CAP,
-    Presentation,
-    free_nilpotent_hirsch_length,
-    witt_number,
-)
+from .hall import from_coordinates, hall_basis, normal_form_str, to_coordinates
+from .magnus import embed, evaluate
+from .presentation import Presentation
 from .subgroups import (
-    AbelianizedBasis,
-    DistortionReport,
-    Retraction,
-    SubgroupStandardBasis,
-    abelianized_basis,
-    apply_retraction,
-    build_retraction,
     cyclic_distortion_exponent,
     decide_undistorted,
-    hirsch_length,
     induced_basis,
     member,
-    retract_word,
 )
-from .words import (
-    Commutator,
-    Generator,
-    Inverse,
-    Power,
-    Product,
-    Word,
-    WordExpr,
-    flatten,
-    format_word,
-    free_reduce,
-    invert_word,
-    parse,
-    parse_word,
-)
+from .words import parse, parse_word
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianizedBasis",
-    "BallIndex",
-    "BasicCommutator",
     "CapExceededError",
-    "Commutator",
-    "DEFAULT_HIRSCH_CAP",
-    "DistortionReport",
-    "DistortionRow",
-    "DistortionTable",
     "ExponentOverflowError",
-    "Generator",
-    "GroupElement",
-    "HallBasis",
-    "IntMatrix",
     "InternalInconsistencyError",
-    "Inverse",
     "NildistError",
-    "Power",
     "Presentation",
-    "Product",
-    "Retraction",
-    "SubgroupStandardBasis",
     "UnknownGeneratorError",
-    "Word",
-    "WordExpr",
     "WordSyntaxError",
-    "abelianized_basis",
-    "apply_retraction",
-    "build_retraction",
-    "commutator",
     "cyclic_distortion_exponent",
     "decide_undistorted",
     "embed",
     "enumerate_ball",
     "estimate_exponent",
     "evaluate",
-    "flatten",
-    "format_word",
-    "free_nilpotent_hirsch_length",
-    "free_reduce",
     "from_coordinates",
     "hall_basis",
-    "hermite_normal_form",
-    "hirsch_length",
-    "identity",
     "induced_basis",
-    "inverse",
-    "invert_word",
-    "lie_expand",
     "measure_distortion",
     "member",
-    "multiply",
     "normal_form_str",
     "parse",
     "parse_word",
-    "power",
-    "rank",
-    "retract_word",
-    "smith_normal_form",
-    "solve_integer",
     "to_coordinates",
-    "weight",
-    "witt_number",
 ]

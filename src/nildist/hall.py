@@ -149,11 +149,6 @@ def hall_basis(presentation: Presentation) -> HallBasis:
     return HallBasis(presentation)
 
 
-def lie_expand(basis: HallBasis, index: int) -> dict:
-    """Expansion of a basis entry in the free associative ring, [u,v] -> uv - vu."""
-    return dict(basis.lie(index))
-
-
 def coordinate_blocks(g: GroupElement):
     """Yield (block, exponents) for g weight by weight, peeling the residual
     past a block only when the next one is asked for.  Draining the generator

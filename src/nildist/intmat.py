@@ -1,9 +1,9 @@
 """Exact integer matrix algebra.
 
-Row-style Hermite normal form and Smith normal form, both with unimodular
-transformation tracking, plus integral linear solving.  Everything runs on
-arbitrary-precision integers; pivots are chosen by least absolute value to
-keep intermediate entries small.
+Row-style Hermite normal form with unimodular transformation tracking, rank,
+and integral linear solving against one fixed matrix (RepeatedSolver).
+Everything runs on arbitrary-precision integers; pivots are chosen by least
+absolute value to keep intermediate entries small.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ class IntMatrix:
                 raise ValueError("rows must all have the same length")
         self.data = data
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -39,10 +31,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
     def tolists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
 
@@ -50,27 +38,8 @@ class IntMatrix:
         return IntMatrix([[self.data[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        n, k, m = self.rows, self.cols, other.cols
-        out = [[0] * m for _ in range(n)]
-        for i in range(n):
-            row = self.data[i]
-            acc = out[i]
-            for t in range(k):
-                v = row[t]
-                if v:
-                    orow = other.data[t]
-                    for j in range(m):
-                        acc[j] += v * orow[j]
-        return IntMatrix(out)
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
@@ -136,84 +105,6 @@ def rank(a: IntMatrix) -> int:
     return sum(1 for row in h if any(row))
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (S, U, V) with S = U a V diagonal, d1 | d2 | ... , di > 0."""
-    s = a.tolists()
-    n = len(s)
-    m = len(s[0]) if s else 0
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, k):
-        s[i], s[k] = s[k], s[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def col_sub(j, k, q):
-        # column j -= q * column k
-        for row in s:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    t = 0
-    bound = min(n, m)
-    while t < bound:
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            changed = False
-            for i in range(t + 1, n):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    if q:
-                        _row_sub(s[i], s[t], q)
-                        _row_sub(u[i], u[t], q)
-                    if s[i][t]:
-                        swap_rows(t, i)
-                        changed = True
-            for j in range(t + 1, m):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    if q:
-                        col_sub(j, t, q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        changed = True
-            if changed:
-                continue
-            # row and column are clear; enforce divisibility of the rest
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if s[i][j] % s[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _row_sub(s[t], s[offender], -1)
-            _row_sub(u[t], u[offender], -1)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix(s), IntMatrix(u), IntMatrix(v)
-
-
 class RepeatedSolver:
     """Solves a x = b over the integers for many right-hand sides b.
 
@@ -255,7 +146,3 @@ class RepeatedSolver:
         return [sum(y[i] * self.u[i][t] for i in range(self.ncols))
                 for t in range(self.ncols)]
 
-
-def solve_integer(a: IntMatrix, b) -> list[int] | None:
-    """One-shot integral solve of a x = b; None when no solution exists."""
-    return RepeatedSolver(a).solve(b)

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import InternalInconsistencyError
 from .presentation import Presentation
-from .words import Commutator, Generator, Inverse, Power, Product, Word, WordExpr
+from .words import Commutator, Generator, Power, Product, Word, WordExpr
 
 Monomial = tuple[int, ...]
 
@@ -129,9 +130,12 @@ def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupEle
 
 
 def embed(word: Word, presentation: Presentation) -> GroupElement:
+    """Image of a letter sequence; a run of equal letters is one power."""
     g = identity(presentation)
-    for index, sign in word:
-        g = multiply(g, _letter_image(presentation, index, sign))
+    for (index, sign), run in groupby(word):
+        step = _letter_image(presentation, index, sign)
+        n = len(list(run))
+        g = multiply(g, step if n == 1 else power(step, n))
     return g
 
 
@@ -168,16 +172,10 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return multiply(multiply(inverse(g), inverse(h)), multiply(g, h))
 
 
-def weight(g: GroupElement):
-    return g.weight()
-
-
 def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:
     """Image of a parse tree (see words.parse), without expanding it."""
     if isinstance(expr, Generator):
         return _letter_image(presentation, expr.index, 1)
-    if isinstance(expr, Inverse):
-        return inverse(evaluate(expr.child, presentation))
     if isinstance(expr, Power):
         return power(evaluate(expr.child, presentation), expr.exponent)
     if isinstance(expr, Product):

@@ -50,7 +50,7 @@ from functools import cached_property
 from .errors import CapExceededError, InternalInconsistencyError
 from .hall import coordinate_blocks, to_coordinates
 from .intmat import IntMatrix, hermite_normal_form, rank
-from .magnus import GroupElement, embed, inverse, multiply, power
+from .magnus import GroupElement, commutator, embed, inverse, multiply, power
 from .presentation import Presentation
 from .words import Slp, Word, free_reduce, format_word, substitute
 
@@ -242,10 +242,7 @@ class _Eliminator:
             item = self.queue.popleft()
             if isinstance(item[0], _Entry):
                 ea, eb = item
-                element = multiply(
-                    multiply(inverse(ea.element), inverse(eb.element)),
-                    multiply(ea.element, eb.element),
-                )
+                element = commutator(ea.element, eb.element)
                 word = Slp.commutator(ea.word, eb.word)
             else:
                 element, word = item
@@ -284,16 +281,8 @@ def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
         g = multiply(power(entry.element, -(exponents[i] // a)), g)
 
 
-def hirsch_length(basis: SubgroupStandardBasis) -> int:
-    return len(basis)
-
-
-def cyclic_distortion_exponent(
-    word: Word | GroupElement, presentation: Presentation
-) -> int:
-    """Distortion exponent of the cyclic subgroup generated by one word, or
-    by one group element."""
-    g = word if isinstance(word, GroupElement) else embed(word, presentation)
+def cyclic_distortion_exponent(g: GroupElement) -> int:
+    """Distortion exponent of the cyclic subgroup generated by g."""
     if g.is_identity():
         raise ValueError("the trivial element generates no cyclic subgroup")
     return g.weight()
@@ -311,7 +300,7 @@ class DistortionReport:
     normal: bool
     cyclic_exponent: int | None
     kernel_witness: tuple[Word, int] | None
-    retract_witness: tuple[Retraction, str] | None
+    retract_witness: Retraction | None
 
     def json_dict(self) -> dict:
         p = self.presentation
@@ -321,10 +310,9 @@ class DistortionReport:
             witness = {"word": format_word(word, p), "weight": wt}
         retract = None
         if self.retract_witness is not None:
-            retraction, _ = self.retract_witness
             retract = {
-                "kept": [p.name_of(i) for i in retraction.kept],
-                "killed": [p.name_of(i) for i in retraction.killed],
+                "kept": [p.name_of(i) for i in self.retract_witness.kept],
+                "killed": [p.name_of(i) for i in self.retract_witness.killed],
             }
         return {
             "verdict": self.verdict,
@@ -408,9 +396,6 @@ def decide_undistorted(
     hirsch_rH = len(basis_D)
 
     if hirsch_H == hirsch_rH:
-        kept_names = ", ".join(presentation.name_of(i) for i in retraction.kept)
-        killed_names = ", ".join(presentation.name_of(i) for i in retraction.killed)
-        description = f"r fixes gp<{kept_names}> and kills {killed_names or 'nothing'}"
         return DistortionReport(
             presentation,
             "undistorted",
@@ -422,7 +407,7 @@ def decide_undistorted(
             normal=normal,
             cyclic_exponent=cyclic_exponent,
             kernel_witness=None,
-            retract_witness=(retraction, description),
+            retract_witness=retraction,
         )
 
     witness = None

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive):
     int    := "-"? digit+
     name   := letter digit*
 
-The atom "1" is the empty word, so printed output always parses back.
+The atom "1" is the empty word, so printed output always parses back.  A
+parse tree has four node types: Generator, Power, Product and Commutator.
 
 A bracket with more than two parts nests to the right, [u, v, w] = [u, [v, w]],
 and the commutator convention throughout is [g, h] = g^-1 h^-1 g h.  Parsing
@@ -47,11 +48,6 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class Inverse:
-    child: "WordExpr"
-
-
-@dataclass(frozen=True)
 class Power:
     child: "WordExpr"
     exponent: int
@@ -68,7 +64,7 @@ class Commutator:
     right: "WordExpr"
 
 
-WordExpr = Generator | Inverse | Power | Product | Commutator
+WordExpr = Generator | Power | Product | Commutator
 
 
 def _tokenize(text: str):
@@ -201,8 +197,6 @@ def letter_count(expr: WordExpr) -> int:
     """len(flatten(expr)), computed without expanding anything."""
     if isinstance(expr, Generator):
         return 1
-    if isinstance(expr, Inverse):
-        return letter_count(expr.child)
     if isinstance(expr, Power):
         return abs(expr.exponent) * letter_count(expr.child)
     if isinstance(expr, Product):
@@ -223,8 +217,6 @@ def flatten(expr: WordExpr) -> Word:
 def _flatten(expr: WordExpr) -> Word:
     if isinstance(expr, Generator):
         return ((expr.index, 1),)
-    if isinstance(expr, Inverse):
-        return invert_word(_flatten(expr.child))
     if isinstance(expr, Power):
         return word_power(_flatten(expr.child), expr.exponent)
     if isinstance(expr, Product):

@@ -159,6 +159,11 @@ def bareiss_rank(rows):
     return r
 
 
+def matmul(a, b):
+    """Product of two matrices given as sequences of rows, as a list of lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def fraction_det(rows):
     a = [[Fraction(v) for v in row] for row in rows]
     n = len(a)

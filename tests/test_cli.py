@@ -1,12 +1,17 @@
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import nildist
-from nildist.cli import build_parser, main
+from nildist.cli import _indented_json, build_parser, main
+from nildist.presentation import Presentation
+from nildist.subgroups import decide_undistorted
+from nildist.words import parse_word
 
 
 def run(capsys, *argv):
@@ -300,3 +305,47 @@ def test_long_abelianized_combinations_are_not_spelled_out():
     result = run_limited("analyze", "-m", "2", "-c", "2", "a^10000 b^9999", "a^9999 b^9998")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["verdict"] == "undistorted"
+
+
+def test_long_letter_runs_embed_as_one_power_each():
+    # embedded letter by letter, these runs cost over 10^6 multiplications
+    # and about ten seconds; one power per run takes under one
+    start = time.monotonic()
+    result = run_limited(
+        "analyze", "-m", "2", "-c", "2", "a^100000 b^99999", "a^99999 b^99998"
+    )
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["verdict"] == "undistorted"
+    assert data["hirsch"] == {"H": 3, "rH": 3, "F": 3}
+    assert elapsed < 5
+
+
+def test_analyze_json_matches_the_indenting_encoder(capsys):
+    p = Presentation(2, 2)
+    # trivial, undistorted, distorted with k = 0, distorted with a witness
+    for texts in (["a a^-1"], ["a^2[a,b]^3"], ["[a,b]"], ["a", "[a,b]"]):
+        code, out, _ = run(capsys, "analyze", "-m", "2", "-c", "2", *texts)
+        report = decide_undistorted([parse_word(t, p) for t in texts], p)
+        assert code == 0
+        assert out == json.dumps(report.json_dict(), indent=2, sort_keys=True) + "\n"
+    value = {"b": [], "a": {"y": [1, None, True, 'q"\u00e9'], "x": {}}, "c": [[2]]}
+    assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_analyze_json_leaves_no_reference_cycles(capsys):
+    argv = ["analyze", "-m", "2", "-c", "2", "a", "[a,b]"]
+    main(argv)  # fill the caches first
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert unreachable == 0

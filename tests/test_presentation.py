@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import nildist
@@ -83,4 +86,9 @@ def test_package_exports():
         "estimate_exponent",
     ):
         assert name in nildist.__all__
+    # the public surface is what the README's Library section documents
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    for name in nildist.__all__:
         assert getattr(nildist, name) is not None
+        assert re.search(rf"\b{name}\b", library), name
