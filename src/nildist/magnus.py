@@ -12,6 +12,13 @@ degree k, so the sum stops by degree c.  Multiplication visits only the term
 pairs under the truncation, walking the right operand's monomials in degree
 order.  evaluate reads a parse tree without expanding its powers.
 
+A commutator takes two products and a short series.  With u = g - 1 and
+v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
+= 1 + (hg)^-1 (uv - vu).  If uv - vu starts in degree d (d >= the sum of
+the weights), only the terms of (hg)^-1 up to degree c - d matter: its
+series runs on hg - 1 = u + v + vu truncated there, and for d > c the
+commutator is the identity.
+
 An element g lies in the k-th term of the lower central series exactly when
 every nonconstant term of its image has degree >= k; the weight of g is the
 smallest degree that actually occurs (infinite for the identity).
@@ -149,9 +156,9 @@ def inverse(g: GroupElement) -> GroupElement:
     return power(g, -1)
 
 
-def power(g: GroupElement, n: int) -> GroupElement:
-    c = g.presentation.c
-    u = {m: v for m, v in g.terms.items() if m}
+def _series(u: dict, n: int, cutoff: int) -> dict:
+    """The terms of (1 + u)^n = sum_k C(n, k) u^k up to degree cutoff, for u
+    without a constant term or terms above cutoff."""
     acc = {(): 1}
     term, coeff, k = u, n, 1
     while coeff and term:
@@ -164,12 +171,38 @@ def power(g: GroupElement, n: int) -> GroupElement:
         k += 1
         coeff = coeff * (n - k + 1) // k  # C(n, k), exact for negative n too
         if coeff:
-            term = _raw_mul(term, u, c)
-    return GroupElement(g.presentation, acc)
+            term = _raw_mul(term, u, cutoff)
+    return acc
+
+
+def power(g: GroupElement, n: int) -> GroupElement:
+    u = {m: v for m, v in g.terms.items() if m}
+    return GroupElement(g.presentation, _series(u, n, g.presentation.c))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    return multiply(multiply(inverse(g), inverse(h)), multiply(g, h))
+    """[g, h] = g^-1 h^-1 g h = 1 + (hg)^-1 (uv - vu) for u = g - 1, v = h - 1."""
+    if g.presentation != h.presentation:
+        raise ValueError("elements live in different presentations")
+    c = g.presentation.c
+    u = {m: x for m, x in g.terms.items() if m}
+    v = {m: x for m, x in h.terms.items() if m}
+    bracket = _raw_mul(u, v, c)
+    for mono, x in _raw_mul(v, u, c).items():
+        total = bracket.get(mono, 0) - x
+        if total:
+            bracket[mono] = total
+        else:
+            del bracket[mono]
+    if not bracket:
+        return identity(g.presentation)
+    # (hg)^-1 matters only up to degree c - d, where uv - vu starts in degree d
+    room = c - min(len(m) for m in bracket)
+    hg = _raw_mul(h.terms, g.terms, room)
+    del hg[()]
+    terms = _raw_mul(_series(hg, -1, room), bracket, c)
+    terms[()] = 1
+    return GroupElement(g.presentation, terms)
 
 
 def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:

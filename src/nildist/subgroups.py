@@ -21,10 +21,14 @@ an element is installed, enqueue its commutators with the elements already
 present.  Commutators sit strictly deeper in the coordinate filtration, so
 the queue drains.  The number of basis elements is the Hirsch length;
 back-reducing the entries above each pivot waits for the first read of
-SubgroupStandardBasis.entries.  Membership is greedy pivot reduction over a
-lazy peel (hall.coordinate_blocks): the first nonzero weight block holds the
-pivot and either decides (no entry there, or a pivot value that does not
-divide) or gives the next reduction step; deeper blocks are never peeled.
+SubgroupStandardBasis.entries.  Insertion and membership read only an
+element's pivot and pivot value, from a lazy peel (hall.coordinate_blocks)
+that stops at the first nonzero weight block.  A reduction step that leaves
+the pivot value nonzero peels nothing, because pivot values of elements in
+the same weight term add.  An entry's full coordinate vector is peeled on
+first read, which only the back-reduction does.  Membership is greedy pivot
+reduction: the pivot either decides (no entry there, or a pivot value that
+does not divide) or gives the next reduction step.
 
 The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
@@ -117,10 +121,13 @@ def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Ret
 
 
 def retract_word(retraction: Retraction, word: Word) -> Word:
-    position = {amb: i for i, amb in enumerate(retraction.kept)}
-    return tuple(
-        (position[index], sign) for index, sign in word if index in position
-    )
+    # one shared letter tuple per kept (index, sign)
+    image = {
+        (amb, sign): (i, sign)
+        for i, amb in enumerate(retraction.kept)
+        for sign in (1, -1)
+    }
+    return tuple(image[letter] for letter in word if letter in image)
 
 
 def apply_retraction(retraction: Retraction, word: Word) -> GroupElement:
@@ -128,19 +135,32 @@ def apply_retraction(retraction: Retraction, word: Word) -> GroupElement:
 
 
 class _Entry:
-    __slots__ = ("element", "coords", "word", "pivot")
+    """A pivoted element: its first nonzero coordinate is value, at index
+    pivot.  The full coordinate vector is peeled on first read."""
 
-    def __init__(self, element, coords, word, pivot):
+    __slots__ = ("element", "word", "pivot", "value", "_coords")
+
+    def __init__(self, element, word, pivot, value):
         self.element = element
-        self.coords = coords
         self.word = word
         self.pivot = pivot
+        self.value = value
+        self._coords = None
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            self._coords = to_coordinates(self.element)
+        return self._coords
 
 
-def _pivot(coords) -> int | None:
-    for j, v in enumerate(coords):
-        if v:
-            return j
+def _lead(g: GroupElement):
+    """(pivot, value) of g's first nonzero coordinate, or None for the
+    identity; peels no block past the first nonzero one."""
+    for block, exponents in coordinate_blocks(g):
+        for i, e in enumerate(exponents):
+            if e:
+                return block.start + i, e
     return None
 
 
@@ -150,10 +170,11 @@ class SubgroupStandardBasis:
     slot, member and len read the eliminator's pivoted sequence; entries is
     that sequence by strictly increasing pivot, back-reduced (entries above
     each pivot into [0, pivot), pivot values unchanged) on first read.  Each
-    entry carries its coordinate vector and a preimage word over the input
-    generator symbols.  relations collects preimage words that collapsed to
-    the identity during elimination (useful to the caller, e.g. for kernel
-    witnesses).  Preimage words are words.Slp nodes; expand() spells one out.
+    entry carries its pivot and pivot value, its coordinate vector (peeled on
+    first read) and a preimage word over the input generator symbols.
+    relations collects preimage words that collapsed to the identity during
+    elimination (useful to the caller, e.g. for kernel witnesses).  Preimage
+    words are words.Slp nodes; expand() spells one out.
     """
 
     def __init__(self, presentation, slots, relations):
@@ -172,16 +193,12 @@ class SubgroupStandardBasis:
         entries = [self._slots[j] for j in sorted(self._slots)]
         for si in range(len(entries)):
             for ti in range(si + 1, len(entries)):
-                t = entries[ti]
-                a = t.coords[t.pivot]
-                e = entries[si].coords[t.pivot]
-                q = e // a
+                s, t = entries[si], entries[ti]
+                q = s.coords[t.pivot] // t.value
                 if q:
-                    element = multiply(entries[si].element, power(t.element, -q))
-                    word = Slp.product(entries[si].word, 1, t.word, -q)
-                    entries[si] = _Entry(
-                        element, to_coordinates(element), word, entries[si].pivot
-                    )
+                    element = multiply(s.element, power(t.element, -q))
+                    word = Slp.product(s.word, 1, t.word, -q)
+                    entries[si] = _Entry(element, word, s.pivot, s.value)
         return tuple(entries)
 
 
@@ -208,33 +225,35 @@ class _Eliminator:
             self.queue.append((entry, t))
 
     def insert(self, element: GroupElement, word: Slp):
-        coords = to_coordinates(element)
+        lead = _lead(element)
         while True:
             self._tick()
-            j = _pivot(coords)
-            if j is None:
+            if lead is None:
                 self.relations.append(word)
                 return
+            j, e = lead
             current = self.slots.get(j)
             if current is None:
-                if coords[j] < 0:
+                if e < 0:
                     element = inverse(element)
                     word = word.inverse()
-                    coords = to_coordinates(element)
-                self._install(_Entry(element, coords, word, j))
+                    e = -e
+                self._install(_Entry(element, word, j, e))
                 return
-            a = current.coords[j]
-            q = coords[j] // a
+            q = e // current.value
             if q:
+                # pivot values add: both factors lie in the pivot's weight
+                # term and vanish before the pivot
                 element = multiply(power(current.element, -q), element)
                 word = Slp.product(current.word, -q, word, 1)
-                coords = to_coordinates(element)
-            if coords[j] == 0 or _pivot(coords) != j:
-                continue
-            # 0 < coords[j] < a: exchange, then keep inserting the displaced
-            # entry so the pivot value walks down to the gcd
-            self._install(_Entry(element, coords, word, j))
-            element, coords, word = current.element, current.coords, current.word
+                e -= q * current.value
+                if not e:
+                    lead = _lead(element)
+                    continue
+            # 0 < e < current.value: exchange, then keep inserting the
+            # displaced entry so the pivot value walks down to the gcd
+            self._install(_Entry(element, word, j, e))
+            element, word, lead = current.element, current.word, (j, current.value)
 
     def run(self):
         while self.queue:
@@ -249,16 +268,22 @@ class _Eliminator:
             self.insert(element, word)
 
 
+def _eliminate(elements, presentation: Presentation, max_events: int):
+    """Standard basis of the subgroup generated by already embedded
+    generators; preimage letter i stands for elements[i]."""
+    eliminator = _Eliminator(presentation, max_events)
+    for i, g in enumerate(elements):
+        eliminator.queue.append((g, Slp.letter(i)))
+    eliminator.run()
+    return SubgroupStandardBasis(presentation, eliminator.slots, eliminator.relations)
+
+
 def induced_basis(
     gens, presentation: Presentation, *, max_events: int = DEFAULT_MAX_EVENTS
 ) -> SubgroupStandardBasis:
     """Standard basis of the subgroup generated by the given words."""
-    eliminator = _Eliminator(presentation, max_events)
-    for i, word in enumerate(gens):
-        word = tuple(word)
-        eliminator.queue.append((embed(word, presentation), Slp.letter(i)))
-    eliminator.run()
-    return SubgroupStandardBasis(presentation, eliminator.slots, eliminator.relations)
+    elements = [embed(tuple(word), presentation) for word in gens]
+    return _eliminate(elements, presentation, max_events)
 
 
 def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
@@ -266,19 +291,14 @@ def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
         raise ValueError("element and basis live in different presentations")
     while True:
         # the first nonzero block holds g's pivot and decides or reduces
-        for block, exponents in coordinate_blocks(g):
-            if any(exponents):
-                break
-        else:
+        lead = _lead(g)
+        if lead is None:
             return True
-        i = _pivot(exponents)
-        entry = basis.slot(block.start + i)
-        if entry is None:
+        j, e = lead
+        entry = basis.slot(j)
+        if entry is None or e % entry.value:
             return False
-        a = entry.coords[entry.pivot]
-        if exponents[i] % a:
-            return False
-        g = multiply(power(entry.element, -(exponents[i] // a)), g)
+        g = multiply(power(entry.element, -(e // entry.value)), g)
 
 
 def cyclic_distortion_exponent(g: GroupElement) -> int:
@@ -362,7 +382,7 @@ def decide_undistorted(
         )
 
     ab = abelianized_basis(gens, presentation)
-    basis_H = induced_basis(gens, presentation, max_events=max_events)
+    basis_H = _eliminate(elements, presentation, max_events)
     hirsch_H = len(basis_H)
     normal = _is_normal(basis_H, elements, presentation)
     finite_index = hirsch_H == hirsch_F

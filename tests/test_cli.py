@@ -322,6 +322,21 @@ def test_long_letter_runs_embed_as_one_power_each():
     assert elapsed < 5
 
 
+def test_retracting_long_letter_runs_fits_in_256_mb():
+    # two words of about 2 * 10^6 letters each; a fresh tuple per retracted
+    # letter ran out of the address space
+    start = time.monotonic()
+    result = run_limited(
+        "analyze", "-m", "2", "-c", "2", "a^1000000 b^999999", "a^999999 b^999998"
+    )
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["verdict"] == "undistorted"
+    assert data["hirsch"] == {"H": 3, "rH": 3, "F": 3}
+    assert elapsed < 30
+
+
 def test_analyze_json_matches_the_indenting_encoder(capsys):
     p = Presentation(2, 2)
     # trivial, undistorted, distorted with k = 0, distorted with a witness

@@ -5,9 +5,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import graded_power, graded_product, naive_embed
-from nildist.magnus import _raw_mul, embed, evaluate, multiply, power
+from nildist.magnus import (
+    _raw_mul,
+    commutator,
+    embed,
+    evaluate,
+    inverse,
+    multiply,
+    power,
+)
 from nildist.presentation import Presentation
-from nildist.words import parse, parse_word, word_power
+from nildist.words import commutator_word, parse, parse_word, word_power
 
 GROUPS = tuple(
     Presentation(m, c)
@@ -25,6 +33,16 @@ groups = st.sampled_from(GROUPS)
 def words(p, max_size):
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     return st.lists(letter, max_size=max_size).map(tuple)
+
+
+def nested_commutator_words(p):
+    """Short words and commutators of them, nested up to three deep, so the
+    bracket of two operands starts anywhere from degree 2 to past the class."""
+    return st.recursive(
+        words(p, 3),
+        lambda inner: st.tuples(inner, inner).map(lambda t: commutator_word(*t)),
+        max_leaves=4,
+    )
 
 
 @st.composite
@@ -98,3 +116,28 @@ def test_evaluate_matches_expanded_word(data):
     word = parse_word(text, p)
     assume(len(word) <= 400)
     assert evaluate(parse(text, p), p) == embed(word, p)
+
+
+@KERNEL
+@given(st.data())
+def test_commutator_matches_the_product_of_four(data):
+    p = data.draw(groups)
+    u = data.draw(nested_commutator_words(p))
+    v = data.draw(nested_commutator_words(p))
+    g, h = embed(u, p), embed(v, p)
+    bracket = commutator(g, h)
+    assert bracket == multiply(multiply(inverse(g), inverse(h)), multiply(g, h))
+    assert bracket.terms == naive_embed(commutator_word(u, v), p.m, p.c)
+
+
+def test_commutator_of_deep_operands():
+    # [a,b] and [a,[a,b]] bracket in degree 5: past the class, at it, and
+    # with one or two degrees of (hg)^-1 to spare
+    for c in (4, 5, 6, 7):
+        p = Presentation(2, c)
+        u = commutator_word(((0, 1),), ((1, 1),))
+        v = commutator_word(((0, 1),), u)
+        g, h = embed(u, p), embed(v, p)
+        bracket = commutator(g, h)
+        assert bracket.is_identity() == (c < 5)
+        assert bracket.terms == naive_embed(commutator_word(u, v), p.m, p.c)

@@ -144,6 +144,8 @@ def test_mismatched_presentations_rejected():
     with pytest.raises(ValueError):
         multiply(identity(P22), identity(P23))
     with pytest.raises(ValueError):
+        commutator(embed(((0, 1),), P22), embed(((1, 1),), P23))
+    with pytest.raises(ValueError):
         embed(((5, 1),), P22)
 
 

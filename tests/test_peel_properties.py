@@ -1,8 +1,10 @@
 """Property tests of the lazy Mal'cev peel on random 2-3-generator subgroups
 of F(2..3, 2..4): membership that stops at the first decisive block agrees
 with the full-coordinate greedy reduction, the drained peel is the coordinate
-vector, and the basis entries back-reduced on first read keep the standard
-shape and the pivot values of the pivoted sequence."""
+vector, the pivot that insertion reads is the first nonzero coordinate, each
+slot stores its pivot value and peels its coordinates on first read, and the
+basis entries back-reduced on first read keep the standard shape and the
+pivot values of the pivoted sequence."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from oracles import greedy_member
 from nildist.hall import coordinate_blocks, from_coordinates, hall_basis, to_coordinates
 from nildist.magnus import embed, identity, inverse, multiply
 from nildist.presentation import Presentation
-from nildist.subgroups import induced_basis, member
+from nildist.subgroups import _lead, induced_basis, member
 from nildist.words import commutator_word, substitute
 
 GROUPS = tuple(
@@ -67,6 +69,35 @@ def test_drained_blocks_are_the_coordinates(case, data):
     coords = tuple(e for _, exponents in blocks for e in exponents)
     assert coords == to_coordinates(g)
     assert from_coordinates(coords, p) == g
+
+
+@PROPERTIES
+@given(subgroups(), st.data())
+def test_lead_is_the_first_nonzero_coordinate(case, data):
+    p, _, letter = case
+    hall = hall_basis(p)
+    g = embed(tuple(data.draw(st.lists(letter, max_size=6))), p)
+    if data.draw(st.booleans()):
+        # a weight-1 block of zeros: the lead sits in a deeper block
+        g = hall.element(data.draw(st.integers(p.m, len(hall) - 1)))
+    coords = to_coordinates(g)
+    first = next(((j, v) for j, v in enumerate(coords) if v), None)
+    assert _lead(g) == first
+
+
+@PROPERTIES
+@given(subgroups())
+def test_slots_store_pivot_values_and_peel_coordinates_on_first_read(case):
+    p, gens, _ = case
+    basis = induced_basis(gens, p)
+    for j in range(len(hall_basis(p))):
+        entry = basis.slot(j)
+        if entry is None:
+            continue
+        coords = to_coordinates(entry.element)
+        assert entry.pivot == j
+        assert entry.value == coords[j] > 0
+        assert entry.coords == coords
 
 
 @PROPERTIES
