@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import product as cartesian
 
 from .errors import InternalInconsistencyError
-from .intmat import IntMatrix, RepeatedSolver
+from .intmat import RepeatedSolver
 from .magnus import (
     GroupElement,
     Monomial,
@@ -119,11 +119,10 @@ class HallBasis:
         self._solvers: dict[int, RepeatedSolver] = {}
         for w in range(1, presentation.c + 1):
             monos = [tuple(t) for t in cartesian(range(presentation.m), repeat=w)]
-            matrix = IntMatrix(
+            self._monomials[w] = monos
+            self._solvers[w] = RepeatedSolver(
                 [[self._lie[i].get(mono, 0) for i in blocks[w]] for mono in monos]
             )
-            self._monomials[w] = monos
-            self._solvers[w] = RepeatedSolver(matrix)
 
     def __len__(self) -> int:
         return len(self.entries)

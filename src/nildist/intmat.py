@@ -9,42 +9,6 @@ absolute value to keep intermediate entries small.
 from __future__ import annotations
 
 
-class IntMatrix:
-    __slots__ = ("data",)
-
-    def __init__(self, rows):
-        data = tuple(tuple(int(v) for v in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("rows must all have the same length")
-        self.data = data
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
-    def tolists(self) -> list[list[int]]:
-        return [list(row) for row in self.data]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]})"
-
-
 def _row_sub(target: list[int], source: list[int], q: int) -> None:
     for j in range(len(target)):
         target[j] -= q * source[j]
@@ -91,31 +55,33 @@ def _hnf_lists(a: list[list[int]]):
     return u
 
 
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Return (H, U) with H = U a, U unimodular, H in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot)."""
-    h = a.tolists()
+def hermite_normal_form(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (h, u) with h = u rows, u unimodular, h in row echelon form
+    with positive pivots and entries above each pivot reduced into
+    [0, pivot)."""
+    h = [list(row) for row in rows]
     u = _hnf_lists(h)
-    return IntMatrix(h), IntMatrix(u)
+    return h, u
 
 
-def rank(a: IntMatrix) -> int:
-    h = a.tolists()
+def rank(rows) -> int:
+    h = [list(row) for row in rows]
     _hnf_lists(h)
     return sum(1 for row in h if any(row))
 
 
 class RepeatedSolver:
-    """Solves a x = b over the integers for many right-hand sides b.
+    """Solves a x = b over the integers for many right-hand sides b, for a
+    matrix a given by its rows.
 
     The Hermite form of the transpose is computed once; each solve is then a
     forward substitution along the pivot rows.
     """
 
-    def __init__(self, a: IntMatrix):
-        self.nrows = a.rows
-        self.ncols = a.cols
-        h = a.transpose().tolists()
+    def __init__(self, rows):
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        h = [list(col) for col in zip(*rows)]
         self.u = _hnf_lists(h)
         self.h = h
         self.pivots = []

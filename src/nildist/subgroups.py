@@ -3,13 +3,15 @@ undistortedness decision.
 
 The decision rests on three pieces.
 
-Rank and completion.  Abelianizing the subgroup generators gives an integer
-matrix; its Hermite form has rank k, and the tracked transformation rows
-realize k subgroup words b1..bk whose abelianized images are independent.
+Rank and completion.  The coefficient of x_i in a generator's polynomial
+image is its exponent sum in generator i, so these degree-1 coefficients are
+the abelianized generators: an integer matrix whose Hermite form has rank k.
 Greedily chosen ambient generators (smallest index first) complete them to a
 rank-m family.  Killing exactly those completion generators defines a
 retraction r of the ambient group onto the subgroup D generated by the kept
-ones, with kernel N the normal closure of the killed generators.
+ones, with kernel N the normal closure of the killed generators.  On
+polynomial images r is the ring map x_j -> 0 for every killed j, the kept
+variables renumbered.
 
 Standard bases.  A subgroup is described by a pivoted generating sequence:
 elements with strictly increasing first nonzero coordinate (pivot), positive
@@ -32,11 +34,13 @@ does not divide) or gives the next reduction step.
 
 The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
-r(H) -> 1 happens exactly when H and r(H) have equal Hirsch length.  When
-they differ, any insertion on the r(H) side that collapsed to the identity
-pulls back (through tracked preimage words) to a candidate element of
-H \cap N; nontrivial ones are kernel witnesses, and each reported witness is
-checked to die under r.
+r(H) -> 1 happens exactly when H and r(H) have equal Hirsch length.  r(H) is
+eliminated from the images of the embedded generators under r.  When the
+lengths differ, any insertion on the r(H) side that collapsed to the
+identity pulls back (through tracked preimage words) to a candidate element
+of H \cap N; nontrivial ones are kernel witnesses, and each reported witness
+is checked to die under r.  H is normal exactly when the commutator of each
+generator with each ambient letter lies in H, one membership test per pair.
 
 Preimage words.  Exchange steps and commutators compound preimage words
 exponentially (10^9 letters and more at F(3,3)), so elimination tracks each
@@ -53,19 +57,12 @@ from functools import cached_property
 
 from .errors import CapExceededError, InternalInconsistencyError
 from .hall import coordinate_blocks, to_coordinates
-from .intmat import IntMatrix, hermite_normal_form, rank
+from .intmat import hermite_normal_form, rank
 from .magnus import GroupElement, commutator, embed, inverse, multiply, power
 from .presentation import Presentation
 from .words import Slp, Word, free_reduce, format_word, substitute
 
 DEFAULT_MAX_EVENTS = 10**6
-
-
-def exponent_vector(word: Word, m: int) -> list[int]:
-    vec = [0] * m
-    for index, sign in word:
-        vec[index] += sign
-    return vec
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,13 @@ class AbelianizedBasis:
     completion: tuple[int, ...]
 
 
-def abelianized_basis(gens, presentation: Presentation) -> AbelianizedBasis:
-    gens = [tuple(w) for w in gens]
+def abelianized_basis(elements, presentation: Presentation) -> AbelianizedBasis:
     m = presentation.m
-    matrix = IntMatrix([exponent_vector(w, m) for w in gens])
-    h, _ = hermite_normal_form(matrix)
-    k = sum(1 for row in h.data if any(row))
-    base_rows = [list(h.row(i)) for i in range(k)]
+    # the coefficient of x_i is the exponent sum of generator i
+    rows = [[g.coefficient((i,)) for i in range(m)] for g in elements]
+    h, _ = hermite_normal_form(rows)
+    base_rows = [row for row in h if any(row)]
+    k = len(base_rows)
     completion: list[int] = []
     for j in range(m):
         if k + len(completion) == m:
@@ -91,7 +88,7 @@ def abelianized_basis(gens, presentation: Presentation) -> AbelianizedBasis:
             row = [0] * m
             row[idx] = 1
             stacked.append(row)
-        if rank(IntMatrix(stacked)) == len(stacked):
+        if rank(stacked) == len(stacked):
             completion.append(j)
     return AbelianizedBasis(presentation, k, tuple(completion))
 
@@ -102,6 +99,21 @@ class Retraction:
     killed: tuple[int, ...]
     source: Presentation
     target: Presentation
+
+    def __call__(self, g: GroupElement) -> GroupElement:
+        """r(g): every monomial with a killed index dropped, the kept
+        indices renumbered into target."""
+        if g.presentation != self.source:
+            raise ValueError("element and retraction live in different presentations")
+        # x_j -> 0 for killed j is a ring map that keeps degrees, so it
+        # commutes with the truncation, and it sends 1 + x_j to 1
+        renumber = {amb: i for i, amb in enumerate(self.kept)}
+        terms = {}
+        for mono, v in g.terms.items():
+            image = tuple(map(renumber.get, mono))
+            if None not in image:
+                terms[image] = v
+        return GroupElement(self.target, terms)
 
 
 def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Retraction:
@@ -118,20 +130,6 @@ def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Ret
         max_hirsch=presentation.max_hirsch,
     )
     return Retraction(kept, killed, presentation, target)
-
-
-def retract_word(retraction: Retraction, word: Word) -> Word:
-    # one shared letter tuple per kept (index, sign)
-    image = {
-        (amb, sign): (i, sign)
-        for i, amb in enumerate(retraction.kept)
-        for sign in (1, -1)
-    }
-    return tuple(image[letter] for letter in word if letter in image)
-
-
-def apply_retraction(retraction: Retraction, word: Word) -> GroupElement:
-    return embed(retract_word(retraction, word), retraction.target)
 
 
 class _Entry:
@@ -347,16 +345,33 @@ class DistortionReport:
 
 
 def _is_normal(basis: SubgroupStandardBasis, elements, presentation) -> bool:
-    for g in elements:
+    # a^-1 g a = g [g, a], so a^-1 H a lies in H exactly when every [g, a]
+    # does.  That already gives a^-1 H a = H: the chain H, a H a^-1,
+    # a^2 H a^-2, ... ascends, and every ascending chain of subgroups of a
+    # finitely generated nilpotent group stabilizes.  So one commutator per
+    # (generator, letter) decides, and inverse letters need none.
+    letters = [embed(((i, 1),), presentation) for i in range(presentation.m)]
+    return all(member(basis, commutator(g, a)) for g in elements for a in letters)
+
+
+def _kernel_witness(relations, gens, retraction: Retraction):
+    """The lightest (weight, then length) nontrivial element of H spelled by
+    a relation of r(H), as (word, weight); checked to die under r."""
+    best = None
+    for relation in relations:
+        ambient = free_reduce(substitute(relation.expand(), gens))
+        g = embed(ambient, retraction.source)
         if g.is_identity():
             continue
-        for i in range(presentation.m):
-            for sign in (1, -1):
-                conjugator = embed(((i, sign),), presentation)
-                conjugate = multiply(multiply(conjugator, g), inverse(conjugator))
-                if not member(basis, conjugate):
-                    return False
-    return True
+        key = (g.weight(), len(ambient))
+        if best is None or key < best[0]:
+            best = (key, ambient, g)
+    if best is None:
+        return None
+    (wt, _), ambient, g = best
+    if not retraction(g).is_identity():
+        raise InternalInconsistencyError("the kernel witness survives the retraction")
+    return ambient, wt
 
 
 def decide_undistorted(
@@ -381,79 +396,43 @@ def decide_undistorted(
             retract_witness=None,
         )
 
-    ab = abelianized_basis(gens, presentation)
+    ab = abelianized_basis(elements, presentation)
     basis_H = _eliminate(elements, presentation, max_events)
     hirsch_H = len(basis_H)
     normal = _is_normal(basis_H, elements, presentation)
-    finite_index = hirsch_H == hirsch_F
     cyclic_exponent = basis_H.entries[0].element.weight() if hirsch_H == 1 else None
 
     if ab.k == 0:
         # H sits inside the derived subgroup, hence inside the kernel of
         # every candidate retraction: always distorted.
+        retraction = None
+        hirsch_rH = 0
+        witness = next(
+            (free_reduce(w), g.weight())
+            for w, g in zip(gens, elements)
+            if not g.is_identity()
+        )
+    else:
+        retraction = build_retraction(ab, presentation)
+        basis_D = _eliminate(
+            [retraction(g) for g in elements], retraction.target, max_events
+        )
+        hirsch_rH = len(basis_D)
         witness = None
-        for word, g in zip(gens, elements):
-            if not g.is_identity():
-                witness = (free_reduce(word), g.weight())
-                break
-        return DistortionReport(
-            presentation,
-            "distorted",
-            0,
-            hirsch_H,
-            0,
-            hirsch_F,
-            finite_index=finite_index,
-            normal=normal,
-            cyclic_exponent=cyclic_exponent,
-            kernel_witness=witness,
-            retract_witness=None,
-        )
+        if hirsch_H != hirsch_rH:
+            witness = _kernel_witness(basis_D.relations, gens, retraction)
 
-    retraction = build_retraction(ab, presentation)
-    rgens = [retract_word(retraction, w) for w in gens]
-    basis_D = induced_basis(rgens, retraction.target, max_events=max_events)
-    hirsch_rH = len(basis_D)
-
-    if hirsch_H == hirsch_rH:
-        return DistortionReport(
-            presentation,
-            "undistorted",
-            ab.k,
-            hirsch_H,
-            hirsch_rH,
-            hirsch_F,
-            finite_index=finite_index,
-            normal=normal,
-            cyclic_exponent=cyclic_exponent,
-            kernel_witness=None,
-            retract_witness=retraction,
-        )
-
-    witness = None
-    best_key = None
-    for relation in basis_D.relations:
-        ambient = free_reduce(substitute(relation.expand(), gens))
-        g = embed(ambient, presentation)
-        if g.is_identity():
-            continue
-        wt = g.weight()
-        key = (wt, len(ambient))
-        if best_key is None or key < best_key:
-            best_key = key
-            witness = (ambient, wt)
-    if witness is not None and not apply_retraction(retraction, witness[0]).is_identity():
-        raise InternalInconsistencyError("the kernel witness survives the retraction")
+    undistorted = retraction is not None and hirsch_H == hirsch_rH
     return DistortionReport(
         presentation,
-        "distorted",
+        "undistorted" if undistorted else "distorted",
         ab.k,
         hirsch_H,
         hirsch_rH,
         hirsch_F,
-        finite_index=finite_index,
+        finite_index=hirsch_H == hirsch_F,
         normal=normal,
         cyclic_exponent=cyclic_exponent,
         kernel_witness=witness,
-        retract_witness=None,
+        retract_witness=retraction if undistorted else None,
     )

@@ -3,16 +3,18 @@
 Everything here is deliberately written against different representations
 than the package uses: polynomial arithmetic on graded layers instead of one
 flat dictionary, the integer Heisenberg group as coordinate triples, necklace
-counting by rotation instead of the Mobius formula, and fraction-free
-elimination instead of Hermite reduction.  Agreement between these and the
-package is the point of the tests that import them.
+counting by rotation instead of the Mobius formula, fraction-free
+elimination instead of Hermite reduction, the retraction and the
+abelianization on letters instead of polynomials, and normality by two
+conjugates per letter instead of one commutator.  Agreement between these
+and the package is the point of the tests that import them.
 """
 
 from fractions import Fraction
 from itertools import product as cartesian
 
 from nildist.hall import to_coordinates
-from nildist.magnus import identity, inverse, multiply, power
+from nildist.magnus import embed, identity, inverse, multiply, power
 
 
 # ---------------------------------------------------------------- polynomials
@@ -189,8 +191,6 @@ def fraction_det(rows):
 
 def element_ball(presentation, radius):
     """Ambient ball keyed by group elements themselves (no coordinates)."""
-    from nildist.magnus import embed
-
     letters = [
         embed(((i, s),), presentation)
         for i in range(presentation.m)
@@ -249,6 +249,35 @@ def greedy_member(basis, g):
             return False
         g = multiply(power(entry.element, -(coords[j] // a)), g)
         coords = to_coordinates(g)
+
+
+def conjugation_normal(basis, gen_elements, presentation):
+    """Normality by both conjugates a g a^-1 and a^-1 g a of every generator
+    g by every ambient letter a, tested with greedy_member."""
+    for g in gen_elements:
+        for i in range(presentation.m):
+            for sign in (1, -1):
+                a = embed(((i, sign),), presentation)
+                if not greedy_member(basis, multiply(multiply(a, g), inverse(a))):
+                    return False
+    return True
+
+
+# -------------------------------------------------------------- letter level
+
+def exponent_vector(word, m):
+    """Abelianized image of a word: the exponent sum of each generator."""
+    vec = [0] * m
+    for index, sign in word:
+        vec[index] += sign
+    return vec
+
+
+def retract_word(retraction, word):
+    """The retraction on letters: killed letters dropped, kept ones
+    renumbered into the target presentation."""
+    renumber = {amb: i for i, amb in enumerate(retraction.kept)}
+    return tuple((renumber[i], sign) for i, sign in word if i in renumber)
 
 
 # ------------------------------------------------------------- random inputs

@@ -1,16 +1,19 @@
 """Property tests of subgroup elimination on random 2-3-generator subgroups
 of F(2..3, 2..3) and F(2, 4): preimage words spell their elements, every
-distorted verdict carries a certificate, and the verdict's invariants do not
-depend on how the subgroup and the ambient group are presented."""
+distorted verdict carries a certificate, the verdict's invariants do not
+depend on how the subgroup and the ambient group are presented, and the
+retraction, the abelianization and the normality test read off polynomial
+images agree with their letter-level oracles."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bareiss_rank, conjugation_normal, exponent_vector, retract_word
 from nildist.magnus import embed
 from nildist.presentation import Presentation
 from nildist.subgroups import (
+    AbelianizedBasis,
     abelianized_basis,
-    apply_retraction,
     build_retraction,
     decide_undistorted,
     induced_basis,
@@ -20,6 +23,7 @@ from nildist.words import commutator_word, substitute
 
 GROUPS = tuple(Presentation(m, c) for m, c in ((2, 2), (2, 3), (3, 2), (3, 3)))
 INVARIANCE_GROUPS = GROUPS + (Presentation(2, 4),)
+LETTER_GROUPS = tuple(Presentation(m, c) for m in (2, 3) for c in (2, 3, 4))
 
 SUBGROUPS = settings(max_examples=100, deadline=None)
 
@@ -64,8 +68,42 @@ def test_distorted_witnesses_are_certified(case):
     assert not g.is_identity()
     assert g.weight() == wt
     assert member(induced_basis(gens, p), g)
-    retraction = build_retraction(abelianized_basis(gens, p), p)
-    assert apply_retraction(retraction, word).is_identity()
+    retraction = build_retraction(abelianized_basis([embed(w, p) for w in gens], p), p)
+    assert retraction(g).is_identity()
+
+
+@st.composite
+def retracted_words(draw):
+    """A retraction of F(2..3, 2..4) killing a proper subset of the
+    generators, and random words."""
+    p = draw(st.sampled_from(LETTER_GROUPS))
+    killed = draw(st.lists(st.integers(0, p.m - 1), max_size=p.m - 1, unique=True))
+    basis = AbelianizedBasis(p, p.m - len(killed), tuple(sorted(killed)))
+    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
+    words = st.lists(st.lists(letter, max_size=8).map(tuple), min_size=1, max_size=3)
+    return build_retraction(basis, p), draw(words)
+
+
+@SUBGROUPS
+@given(retracted_words())
+def test_polynomial_retraction_and_abelianization_match_letters(case):
+    r, words = case
+    p = r.source
+    elements = [embed(w, p) for w in words]
+    for w, g in zip(words, elements):
+        assert r(g) == embed(retract_word(r, w), r.target)
+        assert [g.coefficient((i,)) for i in range(p.m)] == exponent_vector(w, p.m)
+    ab = abelianized_basis(elements, p)
+    assert ab.k == bareiss_rank([exponent_vector(w, p.m) for w in words])
+
+
+@SUBGROUPS
+@given(subgroups())
+def test_normality_matches_two_sided_conjugation(case):
+    p, gens = case
+    report = decide_undistorted(gens, p)
+    elements = [embed(w, p) for w in gens]
+    assert report.normal == conjugation_normal(induced_basis(gens, p), elements, p)
 
 
 def _invariants(report):

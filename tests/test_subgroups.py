@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from oracles import bareiss_rank, closure_products, element_ball, random_word
+from oracles import (
+    bareiss_rank,
+    closure_products,
+    conjugation_normal,
+    element_ball,
+    exponent_vector,
+    random_word,
+    retract_word,
+)
 from nildist import subgroups
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
@@ -10,14 +18,11 @@ from nildist.magnus import embed, identity, inverse, multiply
 from nildist.presentation import Presentation, free_nilpotent_hirsch_length
 from nildist.subgroups import (
     abelianized_basis,
-    apply_retraction,
     build_retraction,
     cyclic_distortion_exponent,
     decide_undistorted,
-    exponent_vector,
     induced_basis,
     member,
-    retract_word,
 )
 from nildist.words import (
     free_reduce,
@@ -36,21 +41,28 @@ def words(p, *texts):
     return [parse_word(t, p) for t in texts]
 
 
+def elements(p, *texts):
+    return [embed(w, p) for w in words(p, *texts)]
+
+
 def test_exponent_vector():
+    # the degree-1 coefficients of a word's image are its exponent sums
+    g = embed(parse_word("a^2 b^-1 a [a,b]^5", P22), P22)
+    assert [g.coefficient((i,)) for i in range(2)] == [3, -1]
     assert exponent_vector(parse_word("a^2 b^-1 a", P22), 2) == [3, -1]
     assert exponent_vector((), 2) == [0, 0]
 
 
 def test_abelianized_examples():
-    ab = abelianized_basis(words(P22, "a^2[a,b]^3"), P22)
+    ab = abelianized_basis(elements(P22, "a^2[a,b]^3"), P22)
     assert ab.k == 1
     assert ab.completion == (1,)
 
-    ab = abelianized_basis(words(P22, "a", "b"), P22)
+    ab = abelianized_basis(elements(P22, "a", "b"), P22)
     assert ab.k == 2
     assert ab.completion == ()
 
-    ab = abelianized_basis(words(P22, "[a,b]"), P22)
+    ab = abelianized_basis(elements(P22, "[a,b]"), P22)
     assert ab.k == 0
     assert ab.completion == (0, 1)
 
@@ -65,7 +77,7 @@ def test_abelianized_rank_and_completion_span():
                 random_word(rng, p.m, 4, min_len=1)
                 for _ in range(rng.randint(1, 3))
             ]
-            ab = abelianized_basis(gens, p)
+            ab = abelianized_basis([embed(w, p) for w in gens], p)
             vecs = [exponent_vector(w, p.m) for w in gens]
             assert bareiss_rank(vecs) == ab.k
             full = vecs + [
@@ -76,7 +88,7 @@ def test_abelianized_rank_and_completion_span():
 
 
 def test_retraction_partitions_generators():
-    ab = abelianized_basis(words(P22, "a^2[a,b]^3"), P22)
+    ab = abelianized_basis(elements(P22, "a^2[a,b]^3"), P22)
     r = build_retraction(ab, P22)
     assert r.kept == (0,)
     assert r.killed == (1,)
@@ -85,23 +97,31 @@ def test_retraction_partitions_generators():
     assert r.target.names == ("a",)
 
     with pytest.raises(ValueError):
-        build_retraction(abelianized_basis(words(P22, "[a,b]"), P22), P22)
+        build_retraction(abelianized_basis(elements(P22, "[a,b]"), P22), P22)
 
 
 def test_retract_word():
-    ab = abelianized_basis(words(P22, "a^2[a,b]^3"), P22)
+    ab = abelianized_basis(elements(P22, "a^2[a,b]^3"), P22)
     r = build_retraction(ab, P22)
     assert retract_word(r, parse_word("a b a^-1 b", P22)) == ((0, 1), (0, -1))
-    assert apply_retraction(r, parse_word("b^5", P22)).is_identity()
+    assert r(embed(parse_word("a b a^-1 b", P22), P22)).is_identity()
+    assert r(embed(parse_word("b^5 [a,b]", P22), P22)).is_identity()
     # the retraction fixes every word over the kept letters
-    assert apply_retraction(r, parse_word("a^3", P22)) == embed(
+    assert r(embed(parse_word("a^3", P22), P22)) == embed(
         parse_word("a^3", r.target), r.target
     )
 
 
+def test_retraction_refuses_a_foreign_element():
+    r = build_retraction(abelianized_basis(elements(P22, "a"), P22), P22)
+    for g in (identity(P23), identity(r.target), embed(parse_word("a", P32), P32)):
+        with pytest.raises(ValueError):
+            r(g)
+
+
 def test_retraction_is_idempotent_on_kept_letters():
     rng = random.Random(67)
-    ab = abelianized_basis(words(P32, "a", "c"), P32)
+    ab = abelianized_basis(elements(P32, "a", "c"), P32)
     r = build_retraction(ab, P32)
     assert r.killed == (1,)
     for _ in range(30):
@@ -109,9 +129,9 @@ def test_retraction_is_idempotent_on_kept_letters():
             (rng.choice((0, 2)), rng.choice((1, -1)))
             for _ in range(rng.randint(0, 6))
         )
-        rw = retract_word(r, w)
-        assert len(rw) == len(w)
-        assert embed(rw, r.target) == apply_retraction(r, w)
+        rw = tuple(((0, 1)[i // 2], sign) for i, sign in w)
+        assert retract_word(r, w) == rw
+        assert r(embed(w, P32)) == embed(rw, r.target)
 
 
 def test_induced_basis_fixtures():
@@ -299,9 +319,9 @@ def test_decide_distorted_with_positive_rank():
     basis = induced_basis(words(P22, "a", "[a,b]"), P22)
     assert member(basis, g)
     retraction = build_retraction(
-        abelianized_basis(words(P22, "a", "[a,b]"), P22), P22
+        abelianized_basis(elements(P22, "a", "[a,b]"), P22), P22
     )
-    assert apply_retraction(retraction, word).is_identity()
+    assert retraction(g).is_identity()
 
 
 def test_decide_checks_the_witness_certificate(monkeypatch):
@@ -364,6 +384,23 @@ def test_normal_infinite_index_forces_distortion():
         report = decide_undistorted(gens, p)
         if report.normal and not report.finite_index and report.verdict != "trivial":
             assert report.verdict == "distorted"
+
+
+def test_normality_fixed_cases():
+    # {a, [a,b]} is normal in F(2,2), where [a,b] is central, but not in
+    # F(2,3), where [[a,b],b] is missing
+    cases = [
+        (P22, ("[a,b]",), True),
+        (P22, ("a", "[a,b]"), True),
+        (P22, ("a^2", "b", "[a,b]"), True),
+        (P23, ("[a,b]", "[[a,b],a]", "[[a,b],b]"), True),
+        (P23, ("a", "[a,b]"), False),
+    ]
+    for p, texts, normal in cases:
+        report = decide_undistorted(words(p, *texts), p)
+        assert report.normal is normal, texts
+        basis = induced_basis(words(p, *texts), p)
+        assert conjugation_normal(basis, elements(p, *texts), p) is normal, texts
 
 
 def test_verdict_survives_tietze_moves():
