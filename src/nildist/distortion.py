@@ -185,7 +185,13 @@ def measure_distortion(
 
 def estimate_exponent(table: DistortionTable) -> float:
     """Least-squares slope of log delta against log n, over the largest half
-    of the radii with nonzero delta.  Needs at least four such radii."""
+    of the radii with nonzero delta.  Needs at least four such radii.
+
+    This is a finite-radius estimate, not a verdict: at the radii a ball
+    reaches the table can still be pre-asymptotic.  For <a, [b,[a,b]]> in
+    F(2,3) at radius 7, delta(n) = n and the estimate is 1.0, although
+    decide_undistorted finds the subgroup distorted; <a, [b,c]> in F(3,2)
+    at radius 6 also reads 1.0."""
     nonzero = [(row.n, row.delta) for row in table.rows if row.delta > 0]
     if len(nonzero) < 4:
         raise ValueError(

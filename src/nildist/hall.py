@@ -15,10 +15,14 @@ coordinate tuple.  The two directions:
     lies in the weight-w term of the lower central series, the degree-w part
     of its polynomial image is an integer combination of the Lie expansions
     of the weight-w basis entries; solving that linear system yields the
-    exponents, and left-multiplying the residual by b_i^-e_i for each
-    weight-w entry, in basis order, pushes it one weight deeper only when the
-    next block is asked for, so a caller that stops early never pays for the
-    deeper weights; to_coordinates drains every block.  The system matrix per
+    exponents, and removing b_i^-e_i for each weight-w entry, in basis order,
+    pushes the residual one weight deeper only when the next block is asked
+    for, so a caller that stops early never pays for the deeper weights;
+    to_coordinates drains every block.  For 2w <= c the removal is a product,
+    b_i^-e_i times the residual.  Past half the class it is a subtraction:
+    gamma_w is abelian once 2w > c, and its Magnus images add under the
+    truncation, since (1 + u)(1 + v) = 1 + u + v when u and v start in
+    degree w, so the residual loses e_i (b_i - 1).  The system matrix per
     weight is fixed, so its Hermite form is computed once per presentation.
 """
 
@@ -148,29 +152,53 @@ def hall_basis(presentation: Presentation) -> HallBasis:
     return HallBasis(presentation)
 
 
+def _block_exponents(basis: HallBasis, w: int, terms: dict):
+    """Exponents of the weight-w block for a residual in the weight-w term."""
+    part = {m: v for m, v in terms.items() if len(m) == w}
+    if not part:
+        return (0,) * len(basis.block(w))
+    vector = [part.get(mono, 0) for mono in basis._monomials[w]]
+    exponents = basis._solvers[w].solve(vector)
+    if exponents is None:
+        raise InternalInconsistencyError(
+            f"degree-{w} part is not a combination of basic commutators"
+        )
+    return exponents
+
+
 def coordinate_blocks(g: GroupElement):
     """Yield (block, exponents) for g weight by weight, peeling the residual
-    past a block only when the next one is asked for.  Draining the generator
-    checks that the peel ends at the identity."""
-    basis = hall_basis(g.presentation)
+    past a block only when the next one is asked for.  Blocks with 2w <= c
+    peel by products; blocks past half the class peel by subtraction, because
+    gamma_w is abelian for 2w > c and b^-e r = r - e(b - 1) there.  Draining
+    the generator checks that the peel ends at the identity."""
+    p = g.presentation
+    basis = hall_basis(p)
+    half = p.c // 2
     residual = g
-    for w in range(1, g.presentation.c + 1):
-        block = basis.block(w)
-        part = residual.homogeneous(w)
-        if not part:
-            yield block, (0,) * len(block)
-            continue
-        vector = [part.get(mono, 0) for mono in basis._monomials[w]]
-        exponents = basis._solvers[w].solve(vector)
-        if exponents is None:
-            raise InternalInconsistencyError(
-                f"degree-{w} part is not a combination of basic commutators"
-            )
-        yield block, exponents
-        for i, e in zip(block, exponents):
+    for w in range(1, half + 1):
+        exponents = _block_exponents(basis, w, residual.terms)
+        yield basis.block(w), exponents
+        for i, e in zip(basis.block(w), exponents):
             if e:
                 residual = multiply(power(basis.element(i), -e), residual)
-    if not residual.is_identity():
+    # (b - 1)^2 and (b - 1)(r - 1) start in degree 2w > c, so they vanish
+    terms = dict(residual.terms)
+    for w in range(half + 1, p.c + 1):
+        exponents = _block_exponents(basis, w, terms)
+        yield basis.block(w), exponents
+        for i, e in zip(basis.block(w), exponents):
+            if not e:
+                continue
+            for mono, v in basis.element(i).terms.items():
+                if not mono:
+                    continue
+                total = terms.get(mono, 0) - e * v
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+    if not GroupElement(p, terms).is_identity():
         raise InternalInconsistencyError("nonzero residual after peeling all weights")
 
 

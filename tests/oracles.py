@@ -5,15 +5,17 @@ than the package uses: polynomial arithmetic on graded layers instead of one
 flat dictionary, the integer Heisenberg group as coordinate triples, necklace
 counting by rotation instead of the Mobius formula, fraction-free
 elimination instead of Hermite reduction, the retraction and the
-abelianization on letters instead of polynomials, and normality by two
-conjugates per letter instead of one commutator.  Agreement between these
+abelianization on letters instead of polynomials, normality by two
+conjugates per letter instead of one commutator, and the Mal'cev peel by
+products at every weight instead of subtraction past half the class.  Agreement between these
 and the package is the point of the tests that import them.
 """
 
 from fractions import Fraction
 from itertools import product as cartesian
 
-from nildist.hall import to_coordinates
+from nildist.errors import InternalInconsistencyError
+from nildist.hall import hall_basis, to_coordinates
 from nildist.magnus import embed, identity, inverse, multiply, power
 
 
@@ -228,6 +230,35 @@ def closure_products(gen_elements, max_factors):
         out |= new
         frontier = new
     return out
+
+
+# ---------------------------------------------------------------- coordinates
+
+def product_peel(g):
+    """Mal'cev coordinates by left-multiplying the residual with b_i^-e_i at
+    every weight, the abelian top of the series included."""
+    basis = hall_basis(g.presentation)
+    residual = g
+    coords = []
+    for w in range(1, g.presentation.c + 1):
+        block = basis.block(w)
+        part = residual.homogeneous(w)
+        if not part:
+            coords.extend((0,) * len(block))
+            continue
+        vector = [part.get(mono, 0) for mono in basis._monomials[w]]
+        exponents = basis._solvers[w].solve(vector)
+        if exponents is None:
+            raise InternalInconsistencyError(
+                f"degree-{w} part is not a combination of basic commutators"
+            )
+        coords.extend(exponents)
+        for i, e in zip(block, exponents):
+            if e:
+                residual = multiply(power(basis.element(i), -e), residual)
+    if not residual.is_identity():
+        raise InternalInconsistencyError("nonzero residual after peeling all weights")
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------- membership

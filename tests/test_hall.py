@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from oracles import lyndon_count, random_word
+import nildist.hall
+from oracles import lyndon_count, product_peel, random_word
 from nildist.hall import (
     from_coordinates,
     hall_basis,
     normal_form_str,
     to_coordinates,
 )
-from nildist.magnus import embed, identity, multiply
+from nildist.magnus import embed, evaluate, identity, multiply
 from nildist.presentation import Presentation, witt_number
-from nildist.words import parse_word
+from nildist.words import parse, parse_word
 
 P22 = Presentation(2, 2)
 P23 = Presentation(2, 3)
@@ -163,3 +164,24 @@ def test_multiplication_through_coordinates():
             )
         )
         assert lhs == rhs
+
+
+def test_peel_multiplies_only_below_half_the_class(monkeypatch):
+    # a dense F(2,7) element of the benchmark's nf-deep shape; past half the
+    # class (weights 4..7) the peel subtracts and never multiplies
+    p = Presentation(2, 7)
+    basis = hall_basis(p)
+    g = evaluate(parse("(a b^-1 a)^25 [a b, b^-1 a, b a^-1]^2 (b a^-1 b)^-25", p), p)
+    expected = product_peel(g)
+    low = sum(1 for i, e in enumerate(expected) if e and basis.entries[i].weight <= 3)
+    high = sum(1 for i, e in enumerate(expected) if e and basis.entries[i].weight > 3)
+    assert high > 20
+    calls = []
+
+    def counting(f, h):
+        calls.append(1)
+        return multiply(f, h)
+
+    monkeypatch.setattr(nildist.hall, "multiply", counting)
+    assert to_coordinates(g) == expected
+    assert 0 < len(calls) <= low

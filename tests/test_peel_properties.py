@@ -4,14 +4,18 @@ with the full-coordinate greedy reduction, the drained peel is the coordinate
 vector, the pivot that insertion reads is the first nonzero coordinate, each
 slot stores its pivot value and peels its coordinates on first read, and the
 basis entries back-reduced on first read keep the standard shape and the
-pivot values of the pivoted sequence."""
+pivot values of the pivoted sequence.  On deep elements of groups up to the
+Hirsch cap, the peel that subtracts past half the class gives the same
+coordinates as the product-only peel of tests/oracles.py."""
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_member
+from oracles import greedy_member, product_peel
 from nildist.hall import coordinate_blocks, from_coordinates, hall_basis, to_coordinates
-from nildist.magnus import embed, identity, inverse, multiply
+from nildist.magnus import commutator, embed, identity, inverse, multiply, power
 from nildist.presentation import Presentation
 from nildist.subgroups import _lead, induced_basis, member
 from nildist.words import commutator_word, substitute
@@ -21,6 +25,16 @@ GROUPS = tuple(
 )
 
 PROPERTIES = settings(max_examples=100, deadline=None)
+
+# deep peels on F(2,7) and F(5,3) take tens of milliseconds each
+DEEP_PROPERTIES = settings(max_examples=60, deadline=None)
+
+# near the Hirsch cap, and the even classes where the block w = c/2 must
+# still peel by products
+DEEP_GROUPS = tuple(
+    Presentation(m, c)
+    for m, c in ((2, 5), (2, 6), (2, 7), (3, 4), (4, 3), (5, 3), (2, 2), (2, 4))
+)
 
 # expanding a preimage word past this many letters is skipped
 EXPAND_LIMIT = 10**4
@@ -122,3 +136,36 @@ def test_entries_reduced_on_first_read_keep_the_standard_shape(case):
         if len(t.word) <= EXPAND_LIMIT:
             assert embed(substitute(t.word.expand(), gens), p) == t.element
     assert all(basis.slot(j) is None for j in range(len(hall_basis(p))) if j not in pivots)
+
+
+@st.composite
+def deep_elements(draw):
+    """u^q [v,[w,y]]^e x^r (or [v,w]^e) for short words u, v, w, x, y."""
+    p = draw(st.sampled_from(DEEP_GROUPS))
+    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
+
+    def short(n):
+        return embed(tuple(draw(st.lists(letter, min_size=1, max_size=n))), p)
+
+    def exponent(n):
+        return draw(st.integers(-n, n).filter(bool))
+
+    u, v, w = short(3), short(2), short(2)
+    inner = commutator(w, short(2)) if draw(st.booleans()) else w
+    g = multiply(power(u, exponent(25)), power(commutator(v, inner), exponent(3)))
+    return multiply(g, power(short(3), exponent(25)))
+
+
+@DEEP_PROPERTIES
+@given(deep_elements())
+def test_peel_agrees_with_product_peel_on_deep_elements(g):
+    assert to_coordinates(g) == product_peel(g)
+
+
+@pytest.mark.parametrize("c", (2, 4, 6))
+def test_even_class_boundary_block_peels_by_products(c):
+    # every coordinate nonzero, the block w = c/2 included
+    p = Presentation(2, c)
+    coords = tuple((-1) ** i * (i % 5 + 1) for i in range(len(hall_basis(p))))
+    g = from_coordinates(coords, p)
+    assert to_coordinates(g) == product_peel(g) == coords
