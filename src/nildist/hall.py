@@ -11,19 +11,19 @@ listed in order, and the exponent vector (e1, ..., eL) is the element's
 coordinate tuple.  The two directions:
 
   * from_coordinates multiplies the ordered powers out;
-  * coordinate_blocks peels one weight at a time, lazily.  If the residual
-    lies in the weight-w term of the lower central series, the degree-w part
-    of its polynomial image is an integer combination of the Lie expansions
-    of the weight-w basis entries; solving that linear system yields the
-    exponents, and removing b_i^-e_i for each weight-w entry, in basis order,
-    pushes the residual one weight deeper only when the next block is asked
-    for, so a caller that stops early never pays for the deeper weights;
-    to_coordinates drains every block.  For 2w <= c the removal is a product,
-    b_i^-e_i times the residual.  Past half the class it is a subtraction:
-    gamma_w is abelian once 2w > c, and its Magnus images add under the
-    truncation, since (1 + u)(1 + v) = 1 + u + v when u and v start in
-    degree w, so the residual loses e_i (b_i - 1).  The system matrix per
-    weight is fixed, so its Hermite form is computed once per presentation.
+  * to_coordinates peels one weight at a time.  If the residual lies in the
+    weight-w term of the lower central series, the degree-w part of its
+    polynomial image is an integer combination of the Lie expansions of the
+    weight-w basis entries; solving that linear system yields the
+    exponents, and removing b_i^-e_i for each weight-w entry, in basis
+    order, pushes the residual one weight deeper.  For 2w <= c the removal
+    is a product, b_i^-e_i times the residual.  Past half the class it is a
+    subtraction: gamma_w is abelian once 2w > c, and its Magnus images add
+    under the truncation, since (1 + u)(1 + v) = 1 + u + v when u and v
+    start in degree w, so the residual loses e_i (b_i - 1).  The system
+    matrix per weight is fixed, so its Hermite form is computed once per
+    presentation.  An element of weight w has zero coordinates below block
+    w, so its first nonzero coordinate takes one solve, at block w.
 """
 
 from __future__ import annotations
@@ -154,10 +154,7 @@ def hall_basis(presentation: Presentation) -> HallBasis:
 
 def _block_exponents(basis: HallBasis, w: int, terms: dict):
     """Exponents of the weight-w block for a residual in the weight-w term."""
-    part = {m: v for m, v in terms.items() if len(m) == w}
-    if not part:
-        return (0,) * len(basis.block(w))
-    vector = [part.get(mono, 0) for mono in basis._monomials[w]]
+    vector = [terms.get(mono, 0) for mono in basis._monomials[w]]
     exponents = basis._solvers[w].solve(vector)
     if exponents is None:
         raise InternalInconsistencyError(
@@ -166,19 +163,19 @@ def _block_exponents(basis: HallBasis, w: int, terms: dict):
     return exponents
 
 
-def coordinate_blocks(g: GroupElement):
-    """Yield (block, exponents) for g weight by weight, peeling the residual
-    past a block only when the next one is asked for.  Blocks with 2w <= c
-    peel by products; blocks past half the class peel by subtraction, because
-    gamma_w is abelian for 2w > c and b^-e r = r - e(b - 1) there.  Draining
-    the generator checks that the peel ends at the identity."""
+def to_coordinates(g: GroupElement) -> MalcevCoords:
+    """Mal'cev coordinates of g, weight block by weight block.  Blocks with
+    2w <= c peel by products; blocks past half the class peel by
+    subtraction, because gamma_w is abelian for 2w > c and b^-e r =
+    r - e(b - 1) there.  The peel must end at the identity."""
     p = g.presentation
     basis = hall_basis(p)
     half = p.c // 2
+    coords: list[int] = []
     residual = g
     for w in range(1, half + 1):
         exponents = _block_exponents(basis, w, residual.terms)
-        yield basis.block(w), exponents
+        coords.extend(exponents)
         for i, e in zip(basis.block(w), exponents):
             if e:
                 residual = multiply(power(basis.element(i), -e), residual)
@@ -186,7 +183,7 @@ def coordinate_blocks(g: GroupElement):
     terms = dict(residual.terms)
     for w in range(half + 1, p.c + 1):
         exponents = _block_exponents(basis, w, terms)
-        yield basis.block(w), exponents
+        coords.extend(exponents)
         for i, e in zip(basis.block(w), exponents):
             if not e:
                 continue
@@ -200,10 +197,7 @@ def coordinate_blocks(g: GroupElement):
                     del terms[mono]
     if not GroupElement(p, terms).is_identity():
         raise InternalInconsistencyError("nonzero residual after peeling all weights")
-
-
-def to_coordinates(g: GroupElement) -> MalcevCoords:
-    return tuple(e for _, exponents in coordinate_blocks(g) for e in exponents)
+    return tuple(coords)
 
 
 def from_coordinates(coords, presentation: Presentation) -> GroupElement:

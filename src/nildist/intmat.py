@@ -95,7 +95,8 @@ class RepeatedSolver:
         if len(b) != self.nrows:
             raise ValueError("right-hand side has the wrong length")
         residual = list(b)
-        y = [0] * self.ncols
+        # the nonzero entries q of y, each with its row of u
+        combination = []
         for i, j in self.pivots:
             value = residual[j]
             pivot = self.h[i][j]
@@ -103,12 +104,11 @@ class RepeatedSolver:
                 return None
             q = value // pivot
             if q:
-                y[i] = q
+                combination.append((q, self.u[i]))
                 row = self.h[i]
                 for col in range(j, self.nrows):
                     residual[col] -= q * row[col]
         if any(residual):
             return None
-        return [sum(y[i] * self.u[i][t] for i in range(self.ncols))
-                for t in range(self.ncols)]
+        return [sum(q * u[t] for q, u in combination) for t in range(self.ncols)]
 

@@ -24,13 +24,14 @@ present.  Commutators sit strictly deeper in the coordinate filtration, so
 the queue drains.  The number of basis elements is the Hirsch length;
 back-reducing the entries above each pivot waits for the first read of
 SubgroupStandardBasis.entries.  Insertion and membership read only an
-element's pivot and pivot value, from a lazy peel (hall.coordinate_blocks)
-that stops at the first nonzero weight block.  A reduction step that leaves
-the pivot value nonzero peels nothing, because pivot values of elements in
-the same weight term add.  An entry's full coordinate vector is peeled on
-first read, which only the back-reduction does.  Membership is greedy pivot
-reduction: the pivot either decides (no entry there, or a pivot value that
-does not divide) or gives the next reduction step.
+element's pivot and pivot value, with one solve at the element's weight w:
+every coordinate block below w is zero and block w is not.  A reduction
+step that leaves the pivot value nonzero solves nothing, because pivot
+values of elements in the same weight term add.  An entry's full coordinate
+vector is peeled on first read, which only the back-reduction does.
+Membership is greedy pivot reduction: the pivot either decides (no entry
+there, or a pivot value that does not divide) or gives the next reduction
+step.
 
 The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
@@ -39,8 +40,9 @@ eliminated from the images of the embedded generators under r.  When the
 lengths differ, any insertion on the r(H) side that collapsed to the
 identity pulls back (through tracked preimage words) to a candidate element
 of H \cap N; nontrivial ones are kernel witnesses, and each reported witness
-is checked to die under r.  H is normal exactly when the commutator of each
-generator with each ambient letter lies in H, one membership test per pair.
+is checked to lie in H and to die under r.  H is normal exactly when the
+commutator of each generator with each ambient letter lies in H, one
+membership test per pair.
 
 Preimage words.  Exchange steps and commutators compound preimage words
 exponentially (10^9 letters and more at F(3,3)), so elimination tracks each
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, InternalInconsistencyError
-from .hall import coordinate_blocks, to_coordinates
+from .hall import _block_exponents, hall_basis, to_coordinates
 from .intmat import hermite_normal_form, rank
 from .magnus import GroupElement, commutator, embed, inverse, multiply, power
 from .presentation import Presentation
@@ -154,12 +156,14 @@ class _Entry:
 
 def _lead(g: GroupElement):
     """(pivot, value) of g's first nonzero coordinate, or None for the
-    identity; peels no block past the first nonzero one."""
-    for block, exponents in coordinate_blocks(g):
-        for i, e in enumerate(exponents):
-            if e:
-                return block.start + i, e
-    return None
+    identity.  For g of weight w the blocks below w are zero and block w is
+    not, so one solve on the degree-w terms finds it."""
+    if g.is_identity():
+        return None
+    w = g.weight()
+    basis = hall_basis(g.presentation)
+    exponents = _block_exponents(basis, w, g.terms)
+    return next((i, e) for i, e in zip(basis.block(w), exponents) if e)
 
 
 class SubgroupStandardBasis:
@@ -288,7 +292,7 @@ def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
     if g.presentation != basis.presentation:
         raise ValueError("element and basis live in different presentations")
     while True:
-        # the first nonzero block holds g's pivot and decides or reduces
+        # the block at g's weight holds its pivot, which decides or reduces
         lead = _lead(g)
         if lead is None:
             return True
@@ -354,9 +358,10 @@ def _is_normal(basis: SubgroupStandardBasis, elements, presentation) -> bool:
     return all(member(basis, commutator(g, a)) for g in elements for a in letters)
 
 
-def _kernel_witness(relations, gens, retraction: Retraction):
+def _kernel_witness(basis_H, relations, gens, retraction: Retraction):
     """The lightest (weight, then length) nontrivial element of H spelled by
-    a relation of r(H), as (word, weight); checked to die under r."""
+    a relation of r(H), as (word, weight); checked to lie in H (standard
+    basis basis_H) and to die under r."""
     best = None
     for relation in relations:
         ambient = free_reduce(substitute(relation.expand(), gens))
@@ -369,6 +374,8 @@ def _kernel_witness(relations, gens, retraction: Retraction):
     if best is None:
         return None
     (wt, _), ambient, g = best
+    if not member(basis_H, g):
+        raise InternalInconsistencyError("the kernel witness lies outside H")
     if not retraction(g).is_identity():
         raise InternalInconsistencyError("the kernel witness survives the retraction")
     return ambient, wt
@@ -420,7 +427,7 @@ def decide_undistorted(
         hirsch_rH = len(basis_D)
         witness = None
         if hirsch_H != hirsch_rH:
-            witness = _kernel_witness(basis_D.relations, gens, retraction)
+            witness = _kernel_witness(basis_H, basis_D.relations, gens, retraction)
 
     undistorted = retraction is not None and hirsch_H == hirsch_rH
     return DistortionReport(

@@ -6,15 +6,17 @@ flat dictionary, the integer Heisenberg group as coordinate triples, necklace
 counting by rotation instead of the Mobius formula, fraction-free
 elimination instead of Hermite reduction, the retraction and the
 abelianization on letters instead of polynomials, normality by two
-conjugates per letter instead of one commutator, and the Mal'cev peel by
-products at every weight instead of subtraction past half the class.  Agreement between these
+conjugates per letter instead of one commutator, the Mal'cev peel by
+products at every weight instead of subtraction past half the class, and a
+Cayley-graph search that multiplies every frontier element by every step
+instead of skipping the steps back to its parents.  Agreement between these
 and the package is the point of the tests that import them.
 """
 
 from fractions import Fraction
 from itertools import product as cartesian
 
-from nildist.errors import InternalInconsistencyError
+from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import hall_basis, to_coordinates
 from nildist.magnus import embed, identity, inverse, multiply, power
 
@@ -191,25 +193,36 @@ def fraction_det(rows):
 
 # ----------------------------------------------------------------- searching
 
-def element_ball(presentation, radius):
-    """Ambient ball keyed by group elements themselves (no coordinates)."""
-    letters = [
-        embed(((i, s),), presentation)
-        for i in range(presentation.m)
-        for s in (1, -1)
-    ]
+def word_ball(presentation, gens, radius, max_elements=None):
+    """Ball over the given words and their inverses, keyed by group element,
+    in discovery order: a plain breadth-first search that multiplies every
+    frontier element by every step.  Past max_elements elements it raises
+    the CapExceededError the package raises."""
+    steps = []
+    for word in gens:
+        g = embed(tuple(word), presentation)
+        steps += [g, inverse(g)]
     lengths = {identity(presentation): 0}
     frontier = [identity(presentation)]
     for layer in range(1, radius + 1):
         new = []
         for g in frontier:
-            for letter in letters:
-                h = multiply(g, letter)
+            for step in steps:
+                h = multiply(g, step)
                 if h not in lengths:
+                    if max_elements is not None and len(lengths) >= max_elements:
+                        raise CapExceededError(
+                            f"ball exceeded {max_elements} elements at radius {layer}"
+                        )
                     lengths[h] = layer
                     new.append(h)
         frontier = new
     return lengths
+
+
+def element_ball(presentation, radius):
+    """Ambient ball keyed by group elements themselves (no coordinates)."""
+    return word_ball(presentation, [((i, 1),) for i in range(presentation.m)], radius)
 
 
 def closure_products(gen_elements, max_factors):

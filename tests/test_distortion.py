@@ -3,10 +3,23 @@ import random
 
 import pytest
 
-from oracles import HEIS_A, HEIS_B, element_ball, heis_inv, heis_mul, random_word
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    HEIS_A,
+    HEIS_B,
+    element_ball,
+    heis_inv,
+    heis_mul,
+    random_word,
+    word_ball,
+)
+from nildist import distortion
 from nildist.distortion import (
     DistortionRow,
     DistortionTable,
+    _bfs,
     enumerate_ball,
     estimate_exponent,
     measure_distortion,
@@ -69,7 +82,66 @@ def test_ball_matches_independent_search():
 def test_ball_matches_element_oracle():
     for p, radius in ((Presentation(2, 3), 4), (Presentation(3, 2), 3)):
         ball = enumerate_ball(p, ambient(p), radius)
-        assert ball.lengths == element_ball(p, radius)
+        assert list(ball.lengths.items()) == list(element_ball(p, radius).items())
+
+
+@st.composite
+def word_searches(draw):
+    """F(2..3, 2..3), 1-2 generator words of up to 4 letters (the identity,
+    repeats and inverse pairs included), a radius from 1 to 4."""
+    p = Presentation(draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
+    word = st.lists(letter, max_size=4).map(tuple)
+    return p, draw(st.lists(word, min_size=1, max_size=2)), draw(st.integers(1, 4))
+
+
+def _search(items):
+    """The items a search yields, and its cap message or None."""
+    seen = []
+    try:
+        for item in items:
+            seen.append(item)
+    except CapExceededError as err:
+        return seen, str(err)
+    return seen, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_searches())
+def test_bfs_matches_the_plain_search(case):
+    # the same items in the same order; with room for one element past the
+    # ball of radius r - 1, the same items before the same cap error
+    p, gens, radius = case
+    full = list(word_ball(p, gens, radius).items())
+    assert _search(_bfs(p, gens, radius, len(full))) == (full, None)
+    cap = len(word_ball(p, gens, radius - 1)) + 1
+    try:
+        word_ball(p, gens, radius, cap)
+        expected = (full, None)
+    except CapExceededError as err:
+        expected = (full[:cap], str(err))
+    assert _search(_bfs(p, gens, radius, cap)) == expected
+
+
+def test_ambient_products_only_step_outward(monkeypatch):
+    # the ambient Cayley graph is bipartite, so once the steps back to a
+    # parent are skipped every product lands one layer further out
+    products = []
+
+    def recording(g, h):
+        product = multiply(g, h)
+        products.append((g, product))
+        return product
+
+    monkeypatch.setattr(distortion, "multiply", recording)
+    p = Presentation(2, 3)
+    ball = enumerate_ball(p, ambient(p), 5)
+    assert len(products) >= len(ball) - 1
+    assert all(ball.lengths[h] == ball.lengths[g] + 1 for g, h in products)
+    # the plain search takes 11,380 products here
+    products.clear()
+    assert len(enumerate_ball(P22, ambient(P22), 10)) == 4309
+    assert len(products) <= 6928
 
 
 def test_ball_lengths_satisfy_triangle_inequality():

@@ -1,12 +1,13 @@
-"""Property tests of the lazy Mal'cev peel on random 2-3-generator subgroups
-of F(2..3, 2..4): membership that stops at the first decisive block agrees
-with the full-coordinate greedy reduction, the drained peel is the coordinate
-vector, the pivot that insertion reads is the first nonzero coordinate, each
-slot stores its pivot value and peels its coordinates on first read, and the
-basis entries back-reduced on first read keep the standard shape and the
-pivot values of the pivoted sequence.  On deep elements of groups up to the
-Hirsch cap, the peel that subtracts past half the class gives the same
-coordinates as the product-only peel of tests/oracles.py."""
+"""Property tests of the Mal'cev peel on random 2-3-generator subgroups of
+F(2..3, 2..4): membership that reads only pivots, each solved at the
+element's weight, agrees with the full-coordinate greedy reduction, the
+coordinates have one entry per basis element and round-trip, the pivot that
+insertion reads is the first nonzero coordinate, each slot stores its pivot
+value and peels its coordinates on first read, and the basis entries
+back-reduced on first read keep the standard shape and the pivot values of
+the pivoted sequence.  On deep elements of groups up to the Hirsch cap, the
+peel that subtracts past half the class gives the same coordinates as the
+product-only peel of tests/oracles.py."""
 
 import pytest
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import greedy_member, product_peel
-from nildist.hall import coordinate_blocks, from_coordinates, hall_basis, to_coordinates
+from nildist.hall import from_coordinates, hall_basis, to_coordinates
 from nildist.magnus import commutator, embed, identity, inverse, multiply, power
 from nildist.presentation import Presentation
 from nildist.subgroups import _lead, induced_basis, member
@@ -74,14 +75,12 @@ def test_member_agrees_with_full_coordinate_reduction(case, data):
 
 @PROPERTIES
 @given(subgroups(), st.data())
-def test_drained_blocks_are_the_coordinates(case, data):
+def test_coordinates_round_trip(case, data):
     p, _, letter = case
     word = tuple(data.draw(st.lists(letter, max_size=8)))
     g = embed(word, p)
-    blocks = list(coordinate_blocks(g))
-    assert [i for block, _ in blocks for i in block] == list(range(len(hall_basis(p))))
-    coords = tuple(e for _, exponents in blocks for e in exponents)
-    assert coords == to_coordinates(g)
+    coords = to_coordinates(g)
+    assert len(coords) == len(hall_basis(p))
     assert from_coordinates(coords, p) == g
 
 

@@ -25,6 +25,7 @@ from nildist.subgroups import (
     member,
 )
 from nildist.words import (
+    Slp,
     free_reduce,
     invert_word,
     parse_word,
@@ -330,6 +331,20 @@ def test_decide_checks_the_witness_certificate(monkeypatch):
     monkeypatch.setattr(subgroups, "substitute", spoiled)
     with pytest.raises(InternalInconsistencyError):
         decide_undistorted(words(P22, "a", "[a,b]"), P22)
+
+
+def test_kernel_witness_must_lie_in_the_subgroup():
+    # [a,b] dies under the retraction that kills b, but lies outside <[a,b]^2>
+    gens = words(P22, "a", "b")
+    relation = Slp.commutator(Slp.letter(0), Slp.letter(1))
+    retraction = build_retraction(abelianized_basis(elements(P22, "a"), P22), P22)
+    outside = induced_basis(words(P22, "[a,b]^2"), P22)
+    with pytest.raises(InternalInconsistencyError, match="outside H"):
+        subgroups._kernel_witness(outside, [relation], gens, retraction)
+    inside = induced_basis(words(P22, "[a,b]"), P22)
+    word, wt = subgroups._kernel_witness(inside, [relation], gens, retraction)
+    assert embed(word, P22) == embed(parse_word("[a,b]", P22), P22)
+    assert wt == 2
 
 
 def test_decide_trivial_subgroup():
