@@ -84,6 +84,12 @@ class Presentation:
                 f"exceeds the cap {self.max_hirsch}"
             )
 
+    def __eq__(self, other):
+        # polynomial ops compare presentations, nearly always one with itself
+        if self is other:
+            return True
+        return isinstance(other, Presentation) and vars(self) == vars(other)
+
     @property
     def hirsch_length(self) -> int:
         return free_nilpotent_hirsch_length(self.m, self.c)

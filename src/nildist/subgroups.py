@@ -13,42 +13,48 @@ ones, with kernel N the normal closure of the killed generators.  On
 polynomial images r is the ring map x_j -> 0 for every killed j, the kept
 variables renumbered.
 
-Standard bases.  A subgroup is described by a pivoted generating sequence:
-elements with strictly increasing first nonzero coordinate (pivot), positive
-pivot entries, and entries above each pivot reduced into [0, pivot).  The
+Standard bases.  A subgroup is described by a pivoted generating sequence
+along a central series with cyclic factors, read by a lead function: the
+pivot is the first factor where an element is nontrivial (on the ambient
+series, its first nonzero Mal'cev coordinate), the pivot value its image
+there.  Pivots strictly increase and pivot values are positive.  The
 sequence is produced by noncommutative Gaussian elimination: insert each
-generator, exchange along pivots by Euclidean steps (pivot exponents add on
-first nonzero coordinates, so the usual gcd argument applies), and whenever
-an element is installed, enqueue its commutators with the elements already
-present.  Commutators sit strictly deeper in the coordinate filtration, so
-the queue drains.  The number of basis elements is the Hirsch length;
-back-reducing the entries above each pivot waits for the first read of
-SubgroupStandardBasis.entries.  Insertion and membership read only an
-element's pivot and pivot value, with one solve at the element's weight w:
-every coordinate block below w is zero and block w is not.  A reduction
-step that leaves the pivot value nonzero solves nothing, because pivot
-values of elements in the same weight term add.  An entry's full coordinate
-vector is peeled on first read, which only the back-reduction does.
-Membership is greedy pivot reduction: the pivot either decides (no entry
-there, or a pivot value that does not divide) or gives the next reduction
-step.
+generator, exchange along pivots by Euclidean steps (pivot values add, so
+the usual gcd argument applies), and whenever an element is installed,
+enqueue its commutators with the elements already present.  Commutators sit
+strictly deeper in a central series, so the queue drains.  A pair whose
+entry has been displaced since is skipped: by the induced-sequence
+criterion (Sims, Computation with Finitely Presented Groups, ch. 9) the
+sequence is closed once the commutator of every two final entries is
+inserted, each such pair is queued when its later entry is installed, and
+a displaced entry is reinserted, so it is a product of later entries.  The
+number of entries is the Hirsch length.  On the ambient series a lead is
+one solve at the element's weight w (the blocks below w are zero, block w
+is not), and none after a reduction step that leaves the pivot value
+nonzero.  Membership is greedy pivot reduction: the pivot either decides
+(no entry there, or a pivot value that does not divide) or gives the next
+reduction step.  Back-reduction, which alone peels full coordinate vectors,
+waits for the first read of SubgroupStandardBasis.entries.
 
 The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
-r(H) -> 1 happens exactly when H and r(H) have equal Hirsch length.  r(H) is
-eliminated from the images of the embedded generators under r.  When the
-lengths differ, any insertion on the r(H) side that collapsed to the
-identity pulls back (through tracked preimage words) to a candidate element
-of H \cap N; nontrivial ones are kernel witnesses, and each reported witness
-is checked to lie in H and to die under r.  H is normal exactly when the
-commutator of each generator with each ambient letter lies in H, one
-membership test per pair.
+r(H) -> 1 happens exactly when H and r(H) have equal Hirsch length.  One
+elimination of H gives both, along D's series pulled back through r and
+then N cut by the ambient series: the lead is that of r(g) in D while
+r(g) != 1, else g's own, shifted past D's slots.  r is a ring map, so pivot
+values still add, and as N is normal every step stays central.  Entries
+with a pivot in D map to a standard basis of r(H), the others form one of
+H \cap N, and the lightest of those, of least weight in H \cap N, is the
+kernel witness, checked to be nontrivial, to lie in H and to die under r.
+Membership along this series is membership in H, so H is normal exactly
+when it holds the commutator of each generator with each ambient letter.
+With k = 0 there is no retraction, H is distorted, the ambient series
+serves, and a lightest generator is the witness.
 
 Preimage words.  Exchange steps and commutators compound preimage words
 exponentially (10^9 letters and more at F(3,3)), so elimination tracks each
 one as a straight-line program (words.Slp): every step adds one O(1) node
-over the nodes it combines.  Only the relations scored as witness candidates
-are ever expanded into letters.
+over the nodes it combines.  Only the witness is ever expanded into letters.
 """
 
 from __future__ import annotations
@@ -81,16 +87,11 @@ def abelianized_basis(elements, presentation: Presentation) -> AbelianizedBasis:
     h, _ = hermite_normal_form(rows)
     base_rows = [row for row in h if any(row)]
     k = len(base_rows)
+    unit = [[int(i == j) for j in range(m)] for i in range(m)]
     completion: list[int] = []
     for j in range(m):
-        if k + len(completion) == m:
-            break
-        stacked = list(base_rows)
-        for idx in completion + [j]:
-            row = [0] * m
-            row[idx] = 1
-            stacked.append(row)
-        if rank(stacked) == len(stacked):
+        stacked = base_rows + [unit[i] for i in completion + [j]]
+        if len(stacked) <= m and rank(stacked) == len(stacked):
             completion.append(j)
     return AbelianizedBasis(presentation, k, tuple(completion))
 
@@ -110,12 +111,8 @@ class Retraction:
         # x_j -> 0 for killed j is a ring map that keeps degrees, so it
         # commutes with the truncation, and it sends 1 + x_j to 1
         renumber = {amb: i for i, amb in enumerate(self.kept)}
-        terms = {}
-        for mono, v in g.terms.items():
-            image = tuple(map(renumber.get, mono))
-            if None not in image:
-                terms[image] = v
-        return GroupElement(self.target, terms)
+        images = ((tuple(map(renumber.get, mono)), v) for mono, v in g.terms.items())
+        return GroupElement(self.target, {i: v for i, v in images if None not in i})
 
 
 def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Retraction:
@@ -125,18 +122,14 @@ def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Ret
         )
     killed = basis.completion
     kept = tuple(i for i in range(presentation.m) if i not in killed)
-    target = Presentation(
-        len(kept),
-        presentation.c,
-        names=tuple(presentation.names[i] for i in kept),
-        max_hirsch=presentation.max_hirsch,
-    )
+    names = tuple(presentation.names[i] for i in kept)
+    target = Presentation(len(kept), presentation.c, names, presentation.max_hirsch)
     return Retraction(kept, killed, presentation, target)
 
 
 class _Entry:
-    """A pivoted element: its first nonzero coordinate is value, at index
-    pivot.  The full coordinate vector is peeled on first read."""
+    """A pivoted element: its lead is (pivot, value).  The full coordinate
+    vector is peeled on first read."""
 
     __slots__ = ("element", "word", "pivot", "value", "_coords")
 
@@ -167,22 +160,23 @@ def _lead(g: GroupElement):
 
 
 class SubgroupStandardBasis:
-    """Pivoted generating sequence of a subgroup.
+    """Pivoted generating sequence of a subgroup along the series that lead
+    reads.
 
     slot, member and len read the eliminator's pivoted sequence; entries is
-    that sequence by strictly increasing pivot, back-reduced (entries above
-    each pivot into [0, pivot), pivot values unchanged) on first read.  Each
-    entry carries its pivot and pivot value, its coordinate vector (peeled on
-    first read) and a preimage word over the input generator symbols.
-    relations collects preimage words that collapsed to the identity during
-    elimination (useful to the caller, e.g. for kernel witnesses).  Preimage
-    words are words.Slp nodes; expand() spells one out.
+    that sequence by strictly increasing pivot, back-reduced by Mal'cev
+    coordinates (so on the ambient series only) on first read.  Each entry
+    carries its pivot and pivot value, its coordinate vector (peeled on first
+    read) and a preimage word over the input generator symbols, a words.Slp
+    node that expand() spells out.  relations collects preimage words that
+    collapsed to the identity during elimination.
     """
 
-    def __init__(self, presentation, slots, relations):
-        self.presentation = presentation
-        self.relations = tuple(relations)
-        self._slots = dict(slots)
+    def __init__(self, eliminator):
+        self.presentation = eliminator.presentation
+        self.relations = tuple(eliminator.relations)
+        self._slots = dict(eliminator.slots)
+        self.lead = eliminator.lead
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -205,9 +199,10 @@ class SubgroupStandardBasis:
 
 
 class _Eliminator:
-    def __init__(self, presentation: Presentation, max_events: int):
+    def __init__(self, presentation: Presentation, max_events: int, lead):
         self.presentation = presentation
         self.max_events = max_events
+        self.lead = lead
         self.events = 0
         self.slots: dict[int, _Entry] = {}
         self.queue: deque = deque()
@@ -227,7 +222,7 @@ class _Eliminator:
             self.queue.append((entry, t))
 
     def insert(self, element: GroupElement, word: Slp):
-        lead = _lead(element)
+        lead = self.lead(element)
         while True:
             self._tick()
             if lead is None:
@@ -244,13 +239,12 @@ class _Eliminator:
                 return
             q = e // current.value
             if q:
-                # pivot values add: both factors lie in the pivot's weight
-                # term and vanish before the pivot
+                # pivot values add: both factors have their pivot at j
                 element = multiply(power(current.element, -q), element)
                 word = Slp.product(current.word, -q, word, 1)
                 e -= q * current.value
                 if not e:
-                    lead = _lead(element)
+                    lead = self.lead(element)
                     continue
             # 0 < e < current.value: exchange, then keep inserting the
             # displaced entry so the pivot value walks down to the gcd
@@ -263,6 +257,8 @@ class _Eliminator:
             item = self.queue.popleft()
             if isinstance(item[0], _Entry):
                 ea, eb = item
+                if self.slots[ea.pivot] is not ea or self.slots[eb.pivot] is not eb:
+                    continue  # displaced since queued: see "Standard bases"
                 element = commutator(ea.element, eb.element)
                 word = Slp.commutator(ea.word, eb.word)
             else:
@@ -270,14 +266,15 @@ class _Eliminator:
             self.insert(element, word)
 
 
-def _eliminate(elements, presentation: Presentation, max_events: int):
-    """Standard basis of the subgroup generated by already embedded
-    generators; preimage letter i stands for elements[i]."""
-    eliminator = _Eliminator(presentation, max_events)
+def _eliminate(elements, presentation: Presentation, max_events: int, lead):
+    """Standard basis, along the series that lead reads, of the subgroup
+    generated by already embedded generators; preimage letter i stands for
+    elements[i]."""
+    eliminator = _Eliminator(presentation, max_events, lead)
     for i, g in enumerate(elements):
         eliminator.queue.append((g, Slp.letter(i)))
     eliminator.run()
-    return SubgroupStandardBasis(presentation, eliminator.slots, eliminator.relations)
+    return SubgroupStandardBasis(eliminator)
 
 
 def induced_basis(
@@ -285,7 +282,7 @@ def induced_basis(
 ) -> SubgroupStandardBasis:
     """Standard basis of the subgroup generated by the given words."""
     elements = [embed(tuple(word), presentation) for word in gens]
-    return _eliminate(elements, presentation, max_events)
+    return _eliminate(elements, presentation, max_events, _lead)
 
 
 def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
@@ -293,7 +290,7 @@ def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
         raise ValueError("element and basis live in different presentations")
     while True:
         # the block at g's weight holds its pivot, which decides or reduces
-        lead = _lead(g)
+        lead = basis.lead(g)
         if lead is None:
             return True
         j, e = lead
@@ -358,27 +355,28 @@ def _is_normal(basis: SubgroupStandardBasis, elements, presentation) -> bool:
     return all(member(basis, commutator(g, a)) for g in elements for a in letters)
 
 
-def _kernel_witness(basis_H, relations, gens, retraction: Retraction):
-    """The lightest (weight, then length) nontrivial element of H spelled by
-    a relation of r(H), as (word, weight); checked to lie in H (standard
-    basis basis_H) and to die under r."""
-    best = None
-    for relation in relations:
-        ambient = free_reduce(substitute(relation.expand(), gens))
-        g = embed(ambient, retraction.source)
-        if g.is_identity():
-            continue
-        key = (g.weight(), len(ambient))
-        if best is None or key < best[0]:
-            best = (key, ambient, g)
-    if best is None:
-        return None
-    (wt, _), ambient, g = best
-    if not member(basis_H, g):
-        raise InternalInconsistencyError("the kernel witness lies outside H")
+def _pullback_lead(retraction: Retraction):
+    """The lead along the pullback series (see "The verdict")."""
+    shift = retraction.target.hirsch_length
+
+    def lead(g: GroupElement):
+        image = retraction(g)
+        if not image.is_identity():
+            return _lead(image)
+        lead = _lead(g)
+        return lead and (lead[0] + shift, lead[1])
+
+    return lead
+
+
+def _kernel_witness(basis, word, retraction: Retraction):
+    """(word, weight), once word spells a nontrivial element of H that r kills."""
+    g = embed(word, retraction.source)
+    if g.is_identity() or not member(basis, g):
+        raise InternalInconsistencyError("the kernel witness is trivial or outside H")
     if not retraction(g).is_identity():
         raise InternalInconsistencyError("the kernel witness survives the retraction")
-    return ambient, wt
+    return word, g.weight()
 
 
 def decide_undistorted(
@@ -387,47 +385,41 @@ def decide_undistorted(
     gens = [tuple(w) for w in gens]
     elements = [embed(w, presentation) for w in gens]
     hirsch_F = presentation.hirsch_length
+    nontrivial = [(w, g) for w, g in zip(gens, elements) if not g.is_identity()]
 
-    if all(g.is_identity() for g in elements):
+    if not nontrivial:
         return DistortionReport(
-            presentation,
-            "trivial",
-            0,
-            0,
-            0,
-            hirsch_F,
-            finite_index=True,
-            normal=True,
-            cyclic_exponent=None,
-            kernel_witness=None,
-            retract_witness=None,
+            presentation, "trivial", 0, 0, 0, hirsch_F, True, True, None, None, None
         )
 
     ab = abelianized_basis(elements, presentation)
-    basis_H = _eliminate(elements, presentation, max_events)
-    hirsch_H = len(basis_H)
-    normal = _is_normal(basis_H, elements, presentation)
-    cyclic_exponent = basis_H.entries[0].element.weight() if hirsch_H == 1 else None
-
     if ab.k == 0:
         # H sits inside the derived subgroup, hence inside the kernel of
         # every candidate retraction: always distorted.
-        retraction = None
-        hirsch_rH = 0
-        witness = next(
-            (free_reduce(w), g.weight())
-            for w, g in zip(gens, elements)
-            if not g.is_identity()
-        )
+        retraction, lead, shift = None, _lead, 0
     else:
         retraction = build_retraction(ab, presentation)
-        basis_D = _eliminate(
-            [retraction(g) for g in elements], retraction.target, max_events
+        lead, shift = _pullback_lead(retraction), retraction.target.hirsch_length
+    basis = _eliminate(elements, presentation, max_events, lead)
+    hirsch_H = len(basis)
+    hirsch_rH = sum(j < shift for j in basis._slots)
+    normal = _is_normal(basis, elements, presentation)
+    # a lightest generator has H's least weight, the weight of every
+    # nontrivial element when H is cyclic
+    lightest, g = min(nontrivial, key=lambda wg: wg[1].weight())
+    cyclic_exponent = g.weight() if hirsch_H == 1 else None
+
+    witness = None
+    if retraction is None:
+        witness = (free_reduce(lightest), g.weight())
+    elif hirsch_H != hirsch_rH:
+        # the lightest F-pivot slot is an element of H \cap N of least weight
+        entry = min(
+            (t for j, t in basis._slots.items() if j >= shift),
+            key=lambda t: (t.element.weight(), len(t.word)),
         )
-        hirsch_rH = len(basis_D)
-        witness = None
-        if hirsch_H != hirsch_rH:
-            witness = _kernel_witness(basis_H, basis_D.relations, gens, retraction)
+        ambient = free_reduce(substitute(entry.word.expand(), gens))
+        witness = _kernel_witness(basis, ambient, retraction)
 
     undistorted = retraction is not None and hirsch_H == hirsch_rH
     return DistortionReport(

@@ -7,10 +7,14 @@ counting by rotation instead of the Mobius formula, fraction-free
 elimination instead of Hermite reduction, the retraction and the
 abelianization on letters instead of polynomials, normality by two
 conjugates per letter instead of one commutator, the Mal'cev peel by
-products at every weight instead of subtraction past half the class, and a
+products at every weight instead of subtraction past half the class, a
 Cayley-graph search that multiplies every frontier element by every step
-instead of skipping the steps back to its parents.  Agreement between these
-and the package is the point of the tests that import them.
+instead of skipping the steps back to its parents, and the undistortedness
+decision by two eliminations (H in F, r(H) in D) on an eliminator that
+commutes every queued pair, with a witness scanned from every relation of
+r(H), instead of one elimination along the pullback series that skips the
+pairs of displaced entries.  Agreement between these and the package is the
+point of the tests that import them.
 """
 
 from fractions import Fraction
@@ -18,7 +22,17 @@ from itertools import product as cartesian
 
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import hall_basis, to_coordinates
-from nildist.magnus import embed, identity, inverse, multiply, power
+from nildist.magnus import commutator, embed, identity, inverse, multiply, power
+from nildist.subgroups import (
+    DEFAULT_MAX_EVENTS,
+    SubgroupStandardBasis,
+    _Eliminator,
+    _Entry,
+    _lead,
+    abelianized_basis,
+    build_retraction,
+)
+from nildist.words import Slp, free_reduce, substitute
 
 
 # ---------------------------------------------------------------- polynomials
@@ -322,6 +336,79 @@ def retract_word(retraction, word):
     renumbered into the target presentation."""
     renumber = {amb: i for i, amb in enumerate(retraction.kept)}
     return tuple((renumber[i], sign) for i, sign in word if i in renumber)
+
+
+# ------------------------------------------------------------------ deciding
+
+class _EveryPairEliminator(_Eliminator):
+    """The package's eliminator, but every queued pair is commuted, also
+    when one of its entries has since been displaced from its slot."""
+
+    def run(self):
+        while self.queue:
+            self._tick()
+            item = self.queue.popleft()
+            if isinstance(item[0], _Entry):
+                ea, eb = item
+                element = commutator(ea.element, eb.element)
+                word = Slp.commutator(ea.word, eb.word)
+            else:
+                element, word = item
+            self.insert(element, word)
+
+
+def every_pair_basis(elements, presentation, max_events=DEFAULT_MAX_EVENTS):
+    """Standard basis of the subgroup that the embedded elements generate,
+    along the ambient series, from the eliminator that commutes every queued
+    pair; preimage letter i stands for elements[i]."""
+    eliminator = _EveryPairEliminator(presentation, max_events, _lead)
+    for i, g in enumerate(elements):
+        eliminator.queue.append((g, Slp.letter(i)))
+    eliminator.run()
+    return SubgroupStandardBasis(eliminator)
+
+
+def two_elimination_decision(gens, presentation):
+    """The decision's invariants by eliminating H in F and r(H) in D apart,
+    as a dict: verdict, k, H, rH, finite_index, normal (by conjugates),
+    cyclic_exponent, and the weight of the lightest (weight, then length)
+    nontrivial element of H that a relation of r(H) spells, checked to lie
+    in H and to die under r; at k = 0, of the first nontrivial generator."""
+    gens = [tuple(w) for w in gens]
+    elements = [embed(w, presentation) for w in gens]
+    if all(g.is_identity() for g in elements):
+        return {"verdict": "trivial", "k": 0, "H": 0, "rH": 0, "finite_index": True,
+                "normal": True, "cyclic_exponent": None, "witness_weight": None}
+    ab = abelianized_basis(elements, presentation)
+    basis_H = every_pair_basis(elements, presentation)
+    hirsch_H = len(basis_H)
+    hirsch_rH, witness = 0, None
+    if ab.k == 0:
+        witness = next(g.weight() for g in elements if not g.is_identity())
+    else:
+        retraction = build_retraction(ab, presentation)
+        basis_D = every_pair_basis([retraction(g) for g in elements], retraction.target)
+        hirsch_rH = len(basis_D)
+        candidates = []
+        for relation in basis_D.relations if hirsch_H != hirsch_rH else ():
+            ambient = free_reduce(substitute(relation.expand(), gens))
+            g = embed(ambient, presentation)
+            if not g.is_identity():
+                candidates.append(((g.weight(), len(ambient)), g))
+        if candidates:
+            (witness, _), g = min(candidates, key=lambda c: c[0])
+            if not greedy_member(basis_H, g) or not retraction(g).is_identity():
+                raise InternalInconsistencyError("the scanned witness is no kernel witness")
+    return {
+        "verdict": "undistorted" if ab.k and hirsch_H == hirsch_rH else "distorted",
+        "k": ab.k,
+        "H": hirsch_H,
+        "rH": hirsch_rH,
+        "finite_index": hirsch_H == presentation.hirsch_length,
+        "normal": conjugation_normal(basis_H, elements, presentation),
+        "cyclic_exponent": basis_H.entries[0].element.weight() if hirsch_H == 1 else None,
+        "witness_weight": witness,
+    }
 
 
 # ------------------------------------------------------------- random inputs

@@ -55,6 +55,15 @@ def test_custom_names_must_be_distinct():
         Presentation(2, 2, names=("u",))
 
 
+def test_equality_is_by_value():
+    p = Presentation(2, 3)
+    assert p == p
+    assert p == Presentation(2, 3) and hash(p) == hash(Presentation(2, 3))
+    assert p != Presentation(2, 3, names=("x", "y"))
+    assert p != Presentation(2, 3, max_hirsch=30)
+    assert p != Presentation(3, 2) and p != (2, 3)
+
+
 def test_invalid_sizes():
     with pytest.raises(ValueError):
         Presentation(0, 2)

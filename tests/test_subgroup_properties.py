@@ -1,18 +1,30 @@
 """Property tests of subgroup elimination on random 2-3-generator subgroups
 of F(2..3, 2..3) and F(2, 4): preimage words spell their elements, every
 distorted verdict carries a certificate, the verdict's invariants do not
-depend on how the subgroup and the ambient group are presented, and the
+depend on how the subgroup and the ambient group are presented, the
 retraction, the abelianization and the normality test read off polynomial
-images agree with their letter-level oracles."""
+images agree with their letter-level oracles, and the one elimination along
+the pullback series agrees with two eliminations that commute every queued
+pair."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_rank, conjugation_normal, exponent_vector, retract_word
-from nildist.magnus import embed
+from oracles import (
+    bareiss_rank,
+    conjugation_normal,
+    every_pair_basis,
+    exponent_vector,
+    retract_word,
+    two_elimination_decision,
+)
+from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import (
+    DEFAULT_MAX_EVENTS,
     AbelianizedBasis,
+    _eliminate,
+    _pullback_lead,
     abelianized_basis,
     build_retraction,
     decide_undistorted,
@@ -141,3 +153,56 @@ def test_verdict_invariants_survive_moves(case):
     base = _invariants(decide_undistorted(gens, p))
     for other in moved:
         assert _invariants(decide_undistorted(other, p)) == base
+
+
+@SUBGROUPS
+@given(subgroups())
+def test_one_elimination_decides_as_two(case):
+    # the invariants equal those of eliminating H and r(H) apart, and the
+    # lightest kernel entry is never heavier than the scanned relations
+    p, gens = case
+    report = decide_undistorted(gens, p)
+    oracle = two_elimination_decision(gens, p)
+    keys = ("verdict", "k", "H", "rH", "finite_index", "normal", "cyclic_exponent")
+    assert _invariants(report) == tuple(oracle[key] for key in keys)
+    if oracle["witness_weight"] is None:
+        assert report.kernel_witness is None
+    else:
+        assert report.kernel_witness[1] <= oracle["witness_weight"]
+
+
+@SUBGROUPS
+@given(subgroups(), st.data())
+def test_pullback_slots_split_H_into_rH_and_the_kernel(case, data):
+    p, gens = case
+    elements = [embed(w, p) for w in gens]
+    ab = abelianized_basis(elements, p)
+    assume(ab.k > 0)
+    r = build_retraction(ab, p)
+    basis = _eliminate(elements, p, DEFAULT_MAX_EVENTS, _pullback_lead(r))
+    shift = r.target.hirsch_length
+    kernel = [basis.slot(j) for j in range(shift, shift + p.hirsch_length)]
+    kernel = [t for t in kernel if t is not None]
+    oracle = two_elimination_decision(gens, p)
+    assert len(kernel) == oracle["H"] - oracle["rH"]
+    assert len(basis) - len(kernel) == oracle["rH"]
+    assert all(r(t.element).is_identity() for t in kernel)
+    # membership along the pullback series is membership in H
+    plain = induced_basis(gens, p)
+    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
+    for word in data.draw(st.lists(st.lists(letter, max_size=6), max_size=4)):
+        g = embed(tuple(word), p)
+        assert member(basis, g) == member(plain, g)
+        h = multiply(elements[0], multiply(g, elements[-1]))
+        assert member(basis, h) == member(plain, h)
+
+
+@SUBGROUPS
+@given(subgroups())
+def test_skipping_displaced_pairs_keeps_the_standard_basis(case):
+    p, gens = case
+    ours = induced_basis(gens, p).entries
+    theirs = every_pair_basis([embed(w, p) for w in gens], p).entries
+    assert [(t.pivot, t.value, t.coords) for t in ours] == [
+        (t.pivot, t.value, t.coords) for t in theirs
+    ]

@@ -25,7 +25,6 @@ from nildist.subgroups import (
     member,
 )
 from nildist.words import (
-    Slp,
     free_reduce,
     invert_word,
     parse_word,
@@ -334,17 +333,21 @@ def test_decide_checks_the_witness_certificate(monkeypatch):
 
 
 def test_kernel_witness_must_lie_in_the_subgroup():
-    # [a,b] dies under the retraction that kills b, but lies outside <[a,b]^2>
-    gens = words(P22, "a", "b")
-    relation = Slp.commutator(Slp.letter(0), Slp.letter(1))
-    retraction = build_retraction(abelianized_basis(elements(P22, "a"), P22), P22)
-    outside = induced_basis(words(P22, "[a,b]^2"), P22)
-    with pytest.raises(InternalInconsistencyError, match="outside H"):
-        subgroups._kernel_witness(outside, [relation], gens, retraction)
-    inside = induced_basis(words(P22, "[a,b]"), P22)
-    word, wt = subgroups._kernel_witness(inside, [relation], gens, retraction)
-    assert embed(word, P22) == embed(parse_word("[a,b]", P22), P22)
-    assert wt == 2
+    # H = <a, [a,b]^2> meets the kernel of the retraction that kills b in
+    # <[a,b]^2>: [a,b] dies under it but lies outside H, and a lies in H but
+    # survives it; the check runs on the basis along the pullback series
+    els = elements(P22, "a", "[a,b]^2")
+    retraction = build_retraction(abelianized_basis(els, P22), P22)
+    basis = subgroups._eliminate(els, P22, 10**4, subgroups._pullback_lead(retraction))
+    for word, message in (
+        (parse_word("[a,b]", P22), "outside H"),
+        (parse_word("a", P22), "survives"),
+        ((), "trivial"),
+    ):
+        with pytest.raises(InternalInconsistencyError, match=message):
+            subgroups._kernel_witness(basis, word, retraction)
+    word = parse_word("[a,b]^2", P22)
+    assert subgroups._kernel_witness(basis, word, retraction) == (word, 2)
 
 
 def test_decide_trivial_subgroup():
@@ -446,6 +449,18 @@ def test_verdict_survives_tietze_moves():
 def test_event_cap_is_enforced():
     with pytest.raises(CapExceededError):
         induced_basis(words(P23, "a", "b"), P23, max_events=3)
+
+
+def test_displaced_pairs_cost_no_commutators():
+    # a finite-index subgroup of F(5,3) whose elimination displaces most of
+    # its entries: commuting the pairs queued for displaced entries too takes
+    # about 15,900 events (tests/oracles.py every_pair_basis), skipping them
+    # 3,024
+    p = Presentation(5, 3)
+    gens = words(p, "a^6 b^10", "b^15 c", "c^-4 d^9", "d e^12", "e^7 a^2")
+    report = decide_undistorted(gens, p, max_events=4000)
+    assert report.verdict == "undistorted" and report.finite_index
+    assert len(induced_basis(gens, p, max_events=4000)) == p.hirsch_length
 
 
 def test_member_uses_coordinates_consistently():
