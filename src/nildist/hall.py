@@ -43,7 +43,7 @@ from .magnus import (
     multiply,
     power,
 )
-from .presentation import Presentation, witt_number
+from .presentation import CACHED_PRESENTATIONS, Presentation, witt_number
 
 MalcevCoords = tuple[int, ...]
 
@@ -147,7 +147,7 @@ class HallBasis:
         return f"[{self.bracket_str(entry.left)},{self.bracket_str(entry.right)}]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_PRESENTATIONS)
 def hall_basis(presentation: Presentation) -> HallBasis:
     return HallBasis(presentation)
 

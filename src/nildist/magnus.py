@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from .errors import InternalInconsistencyError
-from .presentation import Presentation
+from .presentation import CACHED_PRESENTATIONS, Presentation
 from .words import Commutator, Generator, Power, Product, Word, WordExpr
 
 Monomial = tuple[int, ...]
@@ -125,7 +125,9 @@ def identity(presentation: Presentation) -> GroupElement:
     return GroupElement(presentation, {(): 1})
 
 
-@lru_cache(maxsize=None)
+# one entry per letter and sign: 2m <= 20 per presentation of class >= 2
+# under the default Hirsch cap
+@lru_cache(maxsize=20 * CACHED_PRESENTATIONS)
 def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupElement:
     if not 0 <= index < presentation.m:
         raise ValueError(f"letter index {index} out of range")

@@ -5,6 +5,13 @@ Hirsch length is the sum of the Witt numbers W(m, k) for k = 1..c, and a
 hard cap on that length (default 60) keeps every downstream structure at a
 size where exact integer arithmetic stays cheap.  Exceeding the cap is a
 configuration error, never a silent truncation.
+
+Equal presentations are one object: Presentation(...) returns the
+equal instance it made before, if that is still among the last
+CACHED_PRESENTATIONS it made, so the caches keyed by a presentation and the
+checks that two elements share one match by identity.  Equality and hashing
+stay by value, so a presentation made before an eviction still compares
+equal.  Those caches keep at most CACHED_PRESENTATIONS presentations each.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from functools import lru_cache
 from .errors import CapExceededError
 
 DEFAULT_HIRSCH_CAP = 60
+CACHED_PRESENTATIONS = 64
 
 # Short display names used for small rank, matching the usual a, b, c of
 # worked examples.  The canonical names x1..xm always parse as well.
@@ -51,8 +59,19 @@ def free_nilpotent_hirsch_length(m: int, c: int) -> int:
     return sum(witt_number(m, k) for k in range(1, c + 1))
 
 
+class _Interned(type):
+    def __call__(cls, *args, **kwargs):
+        return _intern(super().__call__(*args, **kwargs))
+
+
+@lru_cache(maxsize=CACHED_PRESENTATIONS)
+def _intern(p):
+    # a hit returns the equal presentation cached first
+    return p
+
+
 @dataclass(frozen=True)
-class Presentation:
+class Presentation(metaclass=_Interned):
     m: int
     c: int
     names: tuple[str, ...] = ()
@@ -104,7 +123,7 @@ class Presentation:
         return table[name]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_PRESENTATIONS)
 def _name_table(p: Presentation) -> dict[str, int]:
     # Canonical names first, then the a..e aliases for small rank, then the
     # presentation's own names; later entries win on collision.

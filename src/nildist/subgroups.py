@@ -31,10 +31,15 @@ a displaced entry is reinserted, so it is a product of later entries.  The
 number of entries is the Hirsch length.  On the ambient series a lead is
 one solve at the element's weight w (the blocks below w are zero, block w
 is not), and none after a reduction step that leaves the pivot value
-nonzero.  Membership is greedy pivot reduction: the pivot either decides
-(no entry there, or a pivot value that does not divide) or gives the next
-reduction step.  Back-reduction, which alone peels full coordinate vectors,
-waits for the first read of SubgroupStandardBasis.entries.
+nonzero.  Membership first reads the abelianization: g in H puts g's
+exponent sums (its degree-1 coefficients) in the lattice those of H's
+entries span, since the entries generate H and exponent sums add.  That
+holds along every series, so an element outside the lattice is rejected
+before any lead is read, whatever series the basis was built along.  Then
+it is greedy pivot reduction: the pivot either decides (no entry there, or
+a pivot value that does not divide) or gives the next reduction step.
+Back-reduction, which alone peels full coordinate vectors, waits for the
+first read of SubgroupStandardBasis.entries.
 
 The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
@@ -65,7 +70,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InternalInconsistencyError
 from .hall import _block_exponents, hall_basis, to_coordinates
-from .intmat import hermite_normal_form, rank
+from .intmat import RepeatedSolver, hermite_normal_form, rank
 from .magnus import GroupElement, commutator, embed, inverse, multiply, power
 from .presentation import Presentation
 from .words import Slp, Word, free_reduce, format_word, substitute
@@ -163,7 +168,8 @@ class SubgroupStandardBasis:
     """Pivoted generating sequence of a subgroup along the series that lead
     reads.
 
-    slot, member and len read the eliminator's pivoted sequence; entries is
+    slot, member and len read the eliminator's pivoted sequence, and member
+    first its abelianization, built on first use; entries is
     that sequence by strictly increasing pivot, back-reduced by Mal'cev
     coordinates (so on the ambient series only) on first read.  Each entry
     carries its pivot and pivot value, its coordinate vector (peeled on first
@@ -183,6 +189,12 @@ class SubgroupStandardBasis:
 
     def slot(self, pivot: int):
         return self._slots.get(pivot)
+
+    @cached_property
+    def abelianization(self) -> RepeatedSolver:
+        """The lattice of H's exponent sums, spanned by those of its slots."""
+        m, gs = self.presentation.m, [t.element for t in self._slots.values()]
+        return RepeatedSolver([[g.coefficient((i,)) for g in gs] for i in range(m)])
 
     @cached_property
     def entries(self) -> tuple[_Entry, ...]:
@@ -288,6 +300,11 @@ def induced_basis(
 def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
     if g.presentation != basis.presentation:
         raise ValueError("element and basis live in different presentations")
+    # g in H puts g's exponent sums in H's abelianization; zero sums, as a
+    # commutator has, lie in every lattice and need no solve
+    sums = [g.coefficient((i,)) for i in range(g.presentation.m)]
+    if any(sums) and basis.abelianization.solve(sums) is None:
+        return False
     while True:
         # the block at g's weight holds its pivot, which decides or reduces
         lead = basis.lead(g)
@@ -389,7 +406,7 @@ def decide_undistorted(
 
     if not nontrivial:
         return DistortionReport(
-            presentation, "trivial", 0, 0, 0, hirsch_F, True, True, None, None, None
+            presentation, "trivial", 0, 0, 0, hirsch_F, False, True, None, None, None
         )
 
     ab = abelianized_basis(elements, presentation)

@@ -377,7 +377,7 @@ def two_elimination_decision(gens, presentation):
     gens = [tuple(w) for w in gens]
     elements = [embed(w, presentation) for w in gens]
     if all(g.is_identity() for g in elements):
-        return {"verdict": "trivial", "k": 0, "H": 0, "rH": 0, "finite_index": True,
+        return {"verdict": "trivial", "k": 0, "H": 0, "rH": 0, "finite_index": False,
                 "normal": True, "cyclic_exponent": None, "witness_weight": None}
     ab = abelianized_basis(elements, presentation)
     basis_H = every_pair_basis(elements, presentation)

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 import nildist
+from nildist import hall, magnus, presentation
 from nildist.errors import CapExceededError
+from nildist.magnus import embed, multiply
 from nildist.presentation import (
+    CACHED_PRESENTATIONS,
     Presentation,
     free_nilpotent_hirsch_length,
     mobius,
@@ -62,6 +65,40 @@ def test_equality_is_by_value():
     assert p != Presentation(2, 3, names=("x", "y"))
     assert p != Presentation(2, 3, max_hirsch=30)
     assert p != Presentation(3, 2) and p != (2, 3)
+
+
+def test_equal_presentations_are_one_object():
+    p = Presentation(2, 3)
+    assert Presentation(2, 3) is p
+    assert Presentation(2, 3, names=("a", "b"), max_hirsch=60) is p
+    assert Presentation(2, 3, max_hirsch=30) is not p
+
+
+def test_presentation_caches_are_bounded():
+    # a caller that makes more presentations than the caches keep evicts the
+    # oldest; one made again afterwards is a new object, equal by value
+    p = Presentation(2, 3)
+    g = embed(((0, 1), (1, -1)), p)
+    made = [
+        Presentation(1, 1, names=(f"g{i}",)) for i in range(2 * CACHED_PRESENTATIONS)
+    ]
+    for q in made:
+        hall.hall_basis(q)
+        embed(((0, 1), (0, -1)), q)
+        assert q.index_of(q.names[0]) == 0
+    for cache in (
+        presentation._intern,
+        presentation._name_table,
+        hall.hall_basis,
+        magnus._letter_image,
+    ):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert presentation._intern.cache_info().currsize == CACHED_PRESENTATIONS
+    assert hall.hall_basis.cache_info().currsize == CACHED_PRESENTATIONS
+    again = Presentation(2, 3)
+    assert again is not p and again == p and hash(again) == hash(p)
+    assert multiply(g, embed(((1, 1),), again)) == embed(((0, 1),), p)
 
 
 def test_invalid_sizes():

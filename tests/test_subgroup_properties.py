@@ -3,9 +3,10 @@ of F(2..3, 2..3) and F(2, 4): preimage words spell their elements, every
 distorted verdict carries a certificate, the verdict's invariants do not
 depend on how the subgroup and the ambient group are presented, the
 retraction, the abelianization and the normality test read off polynomial
-images agree with their letter-level oracles, and the one elimination along
+images agree with their letter-level oracles, the one elimination along
 the pullback series agrees with two eliminations that commute every queued
-pair."""
+pair, and membership agrees with greedy reduction on full coordinates
+along either series."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,11 @@ from oracles import (
     conjugation_normal,
     every_pair_basis,
     exponent_vector,
+    greedy_member,
     retract_word,
     two_elimination_decision,
 )
-from nildist.magnus import embed, multiply
+from nildist.magnus import commutator, embed, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import (
     DEFAULT_MAX_EVENTS,
@@ -206,3 +208,30 @@ def test_skipping_displaced_pairs_keeps_the_standard_basis(case):
     assert [(t.pivot, t.value, t.coords) for t in ours] == [
         (t.pivot, t.value, t.coords) for t in theirs
     ]
+
+
+@SUBGROUPS
+@given(subgroups(), st.data())
+def test_member_matches_greedy_reduction_on_every_series(case, data):
+    # membership rejects on the abelianization first, on the ambient basis
+    # and on the pullback basis alike; greedy_member reads no lattice
+    p, gens = case
+    elements = [embed(w, p) for w in gens]
+    plain = induced_basis(gens, p)
+    bases = [plain]
+    ab = abelianized_basis(elements, p)
+    if ab.k:
+        lead = _pullback_lead(build_retraction(ab, p))
+        bases.append(_eliminate(elements, p, DEFAULT_MAX_EVENTS, lead))
+    letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
+    in_h = st.tuples(st.integers(0, len(gens) - 1), st.sampled_from((1, -1)))
+    for word in data.draw(st.lists(st.lists(in_h, max_size=5), max_size=3)):
+        g = embed(substitute(tuple(word), gens), p)
+        assert greedy_member(plain, g)
+        assert all(member(basis, g) for basis in bases)
+    for word in data.draw(st.lists(st.lists(letter, max_size=6), max_size=4)):
+        g = embed(tuple(word), p)
+        # a commutator passes every lattice, so the pivot loop decides it
+        for h in (g, multiply(elements[0], g), commutator(elements[-1], g)):
+            expected = greedy_member(plain, h)
+            assert [member(basis, h) for basis in bases] == [expected] * len(bases)

@@ -11,7 +11,7 @@ from oracles import (
     random_word,
     retract_word,
 )
-from nildist import subgroups
+from nildist import distortion, subgroups
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
 from nildist.magnus import embed, identity, inverse, multiply
@@ -199,6 +199,94 @@ def test_member_fixtures():
         member(basis, identity(P23))
 
 
+def _counting_leads(basis):
+    """Count the leads member reads from basis from now on."""
+    calls = []
+    lead = basis.lead
+    basis.lead = lambda g: calls.append(g) or lead(g)
+    return calls
+
+
+def test_member_rejects_on_the_abelianization_before_any_lead():
+    # H = <a^2, b^3>: exponent sums in 2Z x 3Z, and H meets the derived
+    # subgroup in <[a,b]^6>
+    basis = induced_basis(words(P22, "a^2", "b^3"), P22)
+    for text, expected, rejected_by_lattice in (
+        ("a b^3", False, True),
+        ("[a,b]", False, False),  # the lattice passes it, block 2 does not
+        ("[a,b]^6", True, False),
+        ("a^2 b^3", True, False),
+        ("a^2 b^3 [a,b]^3", False, False),
+    ):
+        calls = _counting_leads(basis)
+        assert member(basis, embed(parse_word(text, P22), P22)) is expected, text
+        assert (not calls) is rejected_by_lattice, text
+
+
+def test_member_of_the_trivial_subgroup_is_only_the_identity():
+    # no slots: the lattice is 0 and has no columns, so solve answers [] for
+    # zero sums and None for any other; [a,b] passes it, and no pivot takes it
+    for basis in (induced_basis([], P23), induced_basis(words(P23, "a a^-1"), P23)):
+        assert len(basis) == 0
+        assert basis.abelianization.solve([0, 0]) == []
+        assert basis.abelianization.solve([1, 0]) is None
+        assert member(basis, identity(P23))
+        for text in ("a", "[a,b]", "[[a,b],b]", "a b a^-1 b^-1"):
+            assert not member(basis, embed(parse_word(text, P23), P23)), text
+
+
+def test_member_inside_the_derived_subgroup():
+    # k = 0: the lattice is 0, so any element with a nonzero exponent sum is
+    # rejected at once and the rest go down the pivot loop
+    basis = induced_basis(words(P23, "[a,b]"), P23)
+    calls = _counting_leads(basis)
+    assert not member(basis, embed(parse_word("a", P23), P23))
+    assert not member(basis, embed(parse_word("[a,b] b", P23), P23))
+    assert not calls
+    assert member(basis, embed(parse_word("[a,b]^-3", P23), P23))
+    assert not member(basis, embed(parse_word("[[a,b],a]", P23), P23))
+    assert not member(basis, embed(parse_word("[a,b]^2 [[a,b],b]", P23), P23))
+    assert member(basis, identity(P23))
+
+
+def test_member_on_the_pullback_series_rejects_on_the_abelianization():
+    # H = <a, [a,b]^2>, eliminated along the series that decide uses
+    els = elements(P22, "a", "[a,b]^2")
+    r = build_retraction(abelianized_basis(els, P22), P22)
+    basis = subgroups._eliminate(els, P22, 10**4, subgroups._pullback_lead(r))
+    calls = _counting_leads(basis)
+    assert not member(basis, embed(parse_word("b", P22), P22))
+    assert not member(basis, embed(parse_word("a^3 b^-1", P22), P22))
+    assert not calls
+    assert not member(basis, embed(parse_word("[a,b]", P22), P22))
+    assert member(basis, embed(parse_word("a^-3 [a,b]^4", P22), P22))
+
+
+@pytest.mark.parametrize(
+    "m, c, radius, texts, bound",
+    [
+        # the measure tables of the ball benchmark; without the abelianization
+        # check the filter reads 4,321, 3,081 and 3,681 leads
+        (2, 2, 10, ("[a,b]",), 50),
+        (2, 3, 6, ("a", "[a,b]"), 1000),
+        (3, 2, 5, ("[a,b]", "c"), 400),
+    ],
+)
+def test_member_filter_reads_few_leads(monkeypatch, m, c, radius, texts, bound):
+    p = Presentation(m, c)
+    calls = []
+
+    def counted_basis(gens, presentation):
+        basis = induced_basis(gens, presentation)
+        calls.append(_counting_leads(basis))
+        return basis
+
+    monkeypatch.setattr(distortion, "induced_basis", counted_basis)
+    distortion.measure_distortion(words(p, *texts), p, radius)
+    [leads] = calls
+    assert len(leads) <= bound
+
+
 def test_member_against_brute_force_closure():
     rng = random.Random(73)
     for trial in range(12):
@@ -353,7 +441,8 @@ def test_kernel_witness_must_lie_in_the_subgroup():
 def test_decide_trivial_subgroup():
     report = decide_undistorted([(), parse_word("a a^-1", P22)], P22)
     assert report.verdict == "trivial"
-    assert report.finite_index is True
+    # the trivial subgroup has infinite index: H = 1 is never all of F
+    assert report.finite_index is False
     assert report.normal is True
     assert report.kernel_witness is None
 
