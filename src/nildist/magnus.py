@@ -10,7 +10,12 @@ Every integer power, the inverse included, is the binomial series
 (1 + u)^n = sum_k C(n, k) u^k for u = g - 1, negative n too: u^k starts in
 degree k, so the sum stops by degree c.  Multiplication visits only the term
 pairs under the truncation, walking the right operand's monomials in degree
-order.  evaluate reads a parse tree without expanding its powers.
+order.  The right operand's constant term b0 adds b0 times the left operand
+in one copy (dict(f) for a group element), so the pair loop walks only the
+nonconstant monomials; the copy needs a left operand with nothing above the
+cutoff, so commutator truncates h before it forms hg.  embed and evaluate
+start a product from its first factor, and evaluate reads a parse tree
+without expanding its powers.
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
@@ -27,7 +32,8 @@ smallest degree that actually occurs (infinite for the identity).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections.abc import Iterator
+from functools import lru_cache, reduce
 from itertools import groupby
 
 from .errors import InternalInconsistencyError
@@ -38,8 +44,11 @@ Monomial = tuple[int, ...]
 
 
 def _raw_mul(f: dict, g: dict, cutoff: int) -> dict:
-    right = [(m2, g[m2]) for m2 in sorted(g, key=len)]
-    out: dict[Monomial, int] = {}
+    """f * g truncated above degree cutoff.  f must hold no monomial above
+    cutoff: g's constant term b0 contributes b0 * f as it stands."""
+    b0 = g.get((), 0)
+    out = dict(f) if b0 == 1 else {m: a * b0 for m, a in f.items()} if b0 else {}
+    right = [(m2, g[m2]) for m2 in sorted(g, key=len) if m2]
     for m1, a in f.items():
         room = cutoff - len(m1)
         for m2, b in right:
@@ -102,7 +111,8 @@ class GroupElement:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.presentation, frozenset(self.terms.items())))
+            # equal terms in two presentations collide; __eq__ tells them apart
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __repr__(self):
@@ -138,14 +148,19 @@ def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupEle
     return GroupElement(presentation, terms)
 
 
+def _product(factors: Iterator[GroupElement], p: Presentation) -> GroupElement:
+    """The factors multiplied from the first one on; the identity if none."""
+    first = next(factors, None)
+    return identity(p) if first is None else reduce(multiply, factors, first)
+
+
 def embed(word: Word, presentation: Presentation) -> GroupElement:
     """Image of a letter sequence; a run of equal letters is one power."""
-    g = identity(presentation)
-    for (index, sign), run in groupby(word):
-        step = _letter_image(presentation, index, sign)
-        n = len(list(run))
-        g = multiply(g, step if n == 1 else power(step, n))
-    return g
+    runs = (
+        (_letter_image(presentation, index, sign), len(list(run)))
+        for (index, sign), run in groupby(word)
+    )
+    return _product((g if n == 1 else power(g, n) for g, n in runs), presentation)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -200,7 +215,8 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
         return identity(g.presentation)
     # (hg)^-1 matters only up to degree c - d, where uv - vu starts in degree d
     room = c - min(len(m) for m in bracket)
-    hg = _raw_mul(h.terms, g.terms, room)
+    h_low = {m: x for m, x in h.terms.items() if len(m) <= room}
+    hg = _raw_mul(h_low, g.terms, room)
     del hg[()]
     terms = _raw_mul(_series(hg, -1, room), bracket, c)
     terms[()] = 1
@@ -214,10 +230,8 @@ def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:
     if isinstance(expr, Power):
         return power(evaluate(expr.child, presentation), expr.exponent)
     if isinstance(expr, Product):
-        g = identity(presentation)
-        for child in expr.children:
-            g = multiply(g, evaluate(child, presentation))
-        return g
+        factors = (evaluate(child, presentation) for child in expr.children)
+        return _product(factors, presentation)
     if isinstance(expr, Commutator):
         return commutator(
             evaluate(expr.left, presentation), evaluate(expr.right, presentation)

@@ -102,16 +102,14 @@ class Presentation(metaclass=_Interned):
                 f"Hirsch length {length} for rank {self.m}, class {self.c} "
                 f"exceeds the cap {self.max_hirsch}"
             )
+        # set here, not on first read, so equal presentations have equal vars()
+        object.__setattr__(self, "hirsch_length", length)
 
     def __eq__(self, other):
         # polynomial ops compare presentations, nearly always one with itself
         if self is other:
             return True
         return isinstance(other, Presentation) and vars(self) == vars(other)
-
-    @property
-    def hirsch_length(self) -> int:
-        return free_nilpotent_hirsch_length(self.m, self.c)
 
     def name_of(self, index: int) -> str:
         return self.names[index]

@@ -1,5 +1,6 @@
 """Property tests of the polynomial kernel against the graded oracles, for
-every class from 1 to 7."""
+every class from 1 to 7 and for F(5,3), the widest group of the nf-deep
+workload."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ GROUPS = tuple(
     Presentation(m, c)
     for m, c in (
         (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
-        (2, 4), (3, 4), (2, 5), (2, 6), (2, 7),
+        (2, 4), (3, 4), (2, 5), (2, 6), (2, 7), (5, 3),
     )
 )
 
@@ -73,10 +74,28 @@ def expressions(p):
 @KERNEL
 @given(st.data())
 def test_raw_mul_matches_graded_product(data):
+    # a cutoff below the class is the room commutator gives (hg)^-1; the
+    # operands are cut there, as the kernel asks of its left one
+    p = data.draw(groups)
+    cutoff = data.draw(st.integers(0, p.c))
+    f, g = (
+        {m: v for m, v in data.draw(polynomials(p)).items() if len(m) <= cutoff}
+        for _ in range(2)
+    )
+    assert _raw_mul(f, g, cutoff) == graded_product(f, g, cutoff)
+
+
+@KERNEL
+@given(st.data())
+def test_raw_mul_returns_a_new_dict(data):
     p = data.draw(groups)
     f = data.draw(polynomials(p))
     g = data.draw(polynomials(p))
-    assert _raw_mul(f, g, p.c) == graded_product(f, g, p.c)
+    one = _raw_mul(f, {(): 1}, p.c)
+    assert one == f and one is not f
+    before = (dict(f), dict(g))
+    product = _raw_mul(f, g, p.c)
+    assert (f, g) == before and product is not f and product is not g
 
 
 @KERNEL

@@ -12,13 +12,14 @@ from oracles import heis_eval, naive_embed, random_word
 from nildist.magnus import (
     commutator,
     embed,
+    evaluate,
     identity,
     inverse,
     multiply,
     power,
 )
 from nildist.presentation import Presentation
-from nildist.words import parse_word
+from nildist.words import parse, parse_word
 
 P22 = Presentation(2, 2)
 P23 = Presentation(2, 3)
@@ -147,6 +148,16 @@ def test_mismatched_presentations_rejected():
         commutator(embed(((0, 1),), P22), embed(((1, 1),), P23))
     with pytest.raises(ValueError):
         embed(((5, 1),), P22)
+
+
+def test_hash_is_by_terms_and_equality_by_presentation_too():
+    g, h = embed(((0, 1),), P22), embed(((0, 1),), P23)
+    assert g.terms == h.terms and hash(g) == hash(h) and g != h
+
+
+def test_empty_products_are_the_identity():
+    assert embed((), P23) == identity(P23)
+    assert evaluate(parse("1", P23), P23) == identity(P23)
 
 
 def test_invariant_checks_survive_optimize():

@@ -77,7 +77,8 @@ def test_equal_presentations_are_one_object():
 def test_presentation_caches_are_bounded():
     # a caller that makes more presentations than the caches keep evicts the
     # oldest; one made again afterwards is a new object, equal by value
-    p = Presentation(2, 3)
+    # names no other test uses, so no earlier read of p's attributes counts
+    p = Presentation(2, 3, names=("s", "t"))
     g = embed(((0, 1), (1, -1)), p)
     made = [
         Presentation(1, 1, names=(f"g{i}",)) for i in range(2 * CACHED_PRESENTATIONS)
@@ -96,8 +97,10 @@ def test_presentation_caches_are_bounded():
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert presentation._intern.cache_info().currsize == CACHED_PRESENTATIONS
     assert hall.hall_basis.cache_info().currsize == CACHED_PRESENTATIONS
-    again = Presentation(2, 3)
+    again = Presentation(2, 3, names=("s", "t"))
     assert again is not p and again == p and hash(again) == hash(p)
+    # reading the Hirsch length on one side only leaves them equal
+    assert again.hirsch_length == 5 and again == p
     assert multiply(g, embed(((1, 1),), again)) == embed(((0, 1),), p)
 
 
