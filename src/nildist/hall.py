@@ -22,24 +22,28 @@ coordinate tuple.  The two directions:
     under the truncation, since (1 + u)(1 + v) = 1 + u + v when u and v
     start in degree w, so the residual loses e_i (b_i - 1).  The system
     matrix per weight is fixed, so its Hermite form is computed once per
-    presentation.  An element of weight w has zero coordinates below block
-    w, so its first nonzero coordinate takes one solve, at block w.
+    presentation.  Its rows are the degree-w monomials in lexicographic
+    order, which is the order of their integer keys (HallBasis._monomials),
+    so a block is read from the terms at those keys.  An element of weight w
+    has zero coordinates below block w, so its first nonzero coordinate
+    takes one solve, at block w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as cartesian
 
 from .errors import InternalInconsistencyError
 from .intmat import RepeatedSolver
 from .magnus import (
     GroupElement,
-    Monomial,
     commutator,
+    degree_keys,
     embed,
     identity,
+    key_product,
+    monomial_key,
     multiply,
     power,
 )
@@ -58,10 +62,13 @@ class BasicCommutator:
 
 
 def _lie_bracket(f: dict, g: dict) -> dict:
-    out: dict[Monomial, int] = {}
-    for m1, a in f.items():
-        for m2, b in g.items():
-            for key, coeff in ((m1 + m2, a * b), (m2 + m1, -a * b)):
+    out: dict[int, int] = {}
+    for k1, a in f.items():
+        for k2, b in g.items():
+            for key, coeff in (
+                (key_product(k1, k2), a * b),
+                (key_product(k2, k1), -a * b),
+            ):
                 v = out.get(key, 0) + coeff
                 if v:
                     out[key] = v
@@ -103,10 +110,11 @@ class HallBasis:
                     f"weight-{w} Hall layer has the wrong size"
                 )
 
+        bits = presentation.letter_bits
         self._lie: list[dict] = []
         for entry in self.entries:
             if entry.gen is not None:
-                self._lie.append({(entry.gen,): 1})
+                self._lie.append({monomial_key((entry.gen,), bits): 1})
             else:
                 self._lie.append(_lie_bracket(self._lie[entry.left], self._lie[entry.right]))
 
@@ -119,13 +127,15 @@ class HallBasis:
                     commutator(self._elements[entry.left], self._elements[entry.right])
                 )
 
-        self._monomials: dict[int, list[Monomial]] = {}
+        # the keys of the degree-w monomials in lexicographic order, one
+        # solver row each
+        self._monomials: dict[int, list[int]] = {}
         self._solvers: dict[int, RepeatedSolver] = {}
         for w in range(1, presentation.c + 1):
-            monos = [tuple(t) for t in cartesian(range(presentation.m), repeat=w)]
-            self._monomials[w] = monos
+            keys = degree_keys(presentation, w)
+            self._monomials[w] = keys
             self._solvers[w] = RepeatedSolver(
-                [[self._lie[i].get(mono, 0) for i in blocks[w]] for mono in monos]
+                [[self._lie[i].get(key, 0) for i in blocks[w]] for key in keys]
             )
 
     def __len__(self) -> int:
@@ -154,7 +164,7 @@ def hall_basis(presentation: Presentation) -> HallBasis:
 
 def _block_exponents(basis: HallBasis, w: int, terms: dict):
     """Exponents of the weight-w block for a residual in the weight-w term."""
-    vector = [terms.get(mono, 0) for mono in basis._monomials[w]]
+    vector = [terms.get(key, 0) for key in basis._monomials[w]]
     exponents = basis._solvers[w].solve(vector)
     if exponents is None:
         raise InternalInconsistencyError(
@@ -187,14 +197,14 @@ def to_coordinates(g: GroupElement) -> MalcevCoords:
         for i, e in zip(basis.block(w), exponents):
             if not e:
                 continue
-            for mono, v in basis.element(i).terms.items():
-                if not mono:
+            for key, v in basis.element(i).terms.items():
+                if key == 1:
                     continue
-                total = terms.get(mono, 0) - e * v
+                total = terms.get(key, 0) - e * v
                 if total:
-                    terms[mono] = total
+                    terms[key] = total
                 else:
-                    del terms[mono]
+                    del terms[key]
     if not GroupElement(p, terms).is_identity():
         raise InternalInconsistencyError("nonzero residual after peeling all weights")
     return tuple(coords)

@@ -75,21 +75,21 @@ class RepeatedSolver:
     matrix a given by its rows.
 
     The Hermite form of the transpose is computed once; each solve is then a
-    forward substitution along the pivot rows.
+    forward substitution along the pivot rows, each kept as its nonzero
+    (column, value) pairs, since most of a pivot row is zero.
     """
 
     def __init__(self, rows):
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
         h = [list(col) for col in zip(*rows)]
-        self.u = _hnf_lists(h)
-        self.h = h
+        u = _hnf_lists(h)
+        # (pivot column, pivot value, the row's nonzero entries, its row of u)
         self.pivots = []
         for i, row in enumerate(h):
-            for j, vv in enumerate(row):
-                if vv:
-                    self.pivots.append((i, j))
-                    break
+            entries = [(j, v) for j, v in enumerate(row) if v]
+            if entries:
+                self.pivots.append((entries[0][0], entries[0][1], entries, u[i]))
 
     def solve(self, b) -> list[int] | None:
         if len(b) != self.nrows:
@@ -97,18 +97,15 @@ class RepeatedSolver:
         residual = list(b)
         # the nonzero entries q of y, each with its row of u
         combination = []
-        for i, j in self.pivots:
+        for j, pivot, entries, urow in self.pivots:
             value = residual[j]
-            pivot = self.h[i][j]
             if value % pivot:
                 return None
             q = value // pivot
             if q:
-                combination.append((q, self.u[i]))
-                row = self.h[i]
-                for col in range(j, self.nrows):
-                    residual[col] -= q * row[col]
+                combination.append((q, urow))
+                for col, v in entries:
+                    residual[col] -= q * v
         if any(residual):
             return None
         return [sum(q * u[t] for q, u in combination) for t in range(self.ncols)]
-

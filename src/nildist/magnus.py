@@ -6,23 +6,35 @@ x_1..x_m, truncated above total degree c.  The map lands in the group of
 units with constant term 1 and is injective, so equality of polynomials is
 equality of group elements and every computation below is exact.
 
+A polynomial is a dict from monomials to nonzero coefficients, and a
+monomial is one int.  With s = max(1, (m - 1).bit_length()) bits per
+letter (Presentation.letter_bits), x_i1 ... x_id is keyed by a leading 1
+bit followed by the d s-bit digits i1, ..., id, so the empty monomial is 1.
+The degree of a key k is (k.bit_length() - 1) // s, keys order by degree
+and then lexicographically, and the key of a product of monomials is
+((k1 - 1) << s d2) + k2 for k2 of degree d2: one shift per left monomial
+and one add per term pair, where a tuple key would be built and hashed
+letter by letter.
+
 Every integer power, the inverse included, is the binomial series
 (1 + u)^n = sum_k C(n, k) u^k for u = g - 1, negative n too: u^k starts in
 degree k, so the sum stops by degree c.  Multiplication visits only the term
-pairs under the truncation, walking the right operand's monomials in degree
-order.  The right operand's constant term b0 adds b0 times the left operand
-in one copy (dict(f) for a group element), so the pair loop walks only the
-nonconstant monomials; the copy needs a left operand with nothing above the
-cutoff, so commutator truncates h before it forms hg.  embed and evaluate
-start a product from its first factor, and evaluate reads a parse tree
-without expanding its powers.
+pairs under the truncation: the right operand's monomials are grouped by
+degree once per product, and each left monomial walks the groups up to the
+degree it has room for.  The right operand's constant term b0 adds b0 times
+the left operand in one copy (dict(f) for a group element), so the pair
+loop walks only the nonconstant monomials; the copy needs a left operand
+with nothing above the cutoff, so commutator truncates h before it forms
+hg.  embed and evaluate start a product from its first factor, and evaluate
+reads a parse tree without expanding its powers.
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
 = 1 + (hg)^-1 (uv - vu).  If uv - vu starts in degree d (d >= the sum of
 the weights), only the terms of (hg)^-1 up to degree c - d matter: its
-series runs on hg - 1 = u + v + vu truncated there, and for d > c the
-commutator is the identity.
+series runs on hg - 1 = u + v + vu truncated there.  For d = c that is the
+constant 1 and the commutator is 1 + (uv - vu) at once; for d > c it is the
+identity.
 
 An element g lies in the k-th term of the lower central series exactly when
 every nonconstant term of its image has degree >= k; the weight of g is the
@@ -35,6 +47,7 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache, reduce
 from itertools import groupby
+from itertools import product as cartesian
 
 from .errors import InternalInconsistencyError
 from .presentation import CACHED_PRESENTATIONS, Presentation
@@ -43,47 +56,86 @@ from .words import Commutator, Generator, Power, Product, Word, WordExpr
 Monomial = tuple[int, ...]
 
 
-def _raw_mul(f: dict, g: dict, cutoff: int) -> dict:
-    """f * g truncated above degree cutoff.  f must hold no monomial above
-    cutoff: g's constant term b0 contributes b0 * f as it stands."""
-    b0 = g.get((), 0)
-    out = dict(f) if b0 == 1 else {m: a * b0 for m, a in f.items()} if b0 else {}
-    right = [(m2, g[m2]) for m2 in sorted(g, key=len) if m2]
-    for m1, a in f.items():
-        room = cutoff - len(m1)
-        for m2, b in right:
-            if len(m2) > room:
+def monomial_key(monomial: Monomial, bits: int) -> int:
+    """The integer key of a monomial: a leading 1 bit, then one bits-wide
+    digit per letter index."""
+    key = 1
+    for i in monomial:
+        key = key << bits | i
+    return key
+
+
+def key_product(k1: int, k2: int) -> int:
+    """The key of m1 m2, for m1 keyed k1 and m2 keyed k2: k2's digits take
+    k2.bit_length() - 1 bits."""
+    return ((k1 - 1) << k2.bit_length() - 1) + k2
+
+
+def degree(key: int, bits: int) -> int:
+    return (key.bit_length() - 1) // bits
+
+
+def degree_keys(presentation: Presentation, d: int) -> list[int]:
+    """The keys of the degree-d monomials, in lexicographic order."""
+    monomials = cartesian(range(presentation.m), repeat=d)
+    return [monomial_key(t, presentation.letter_bits) for t in monomials]
+
+
+def _raw_mul(f: dict, g: dict, cutoff: int, bits: int) -> dict:
+    """f * g truncated above degree cutoff, on keys of bits bits per letter.
+    f must hold no monomial above cutoff: g's constant term b0 contributes
+    b0 * f as it stands."""
+    b0 = g.get(1, 0)
+    out = dict(f) if b0 == 1 else {k: a * b0 for k, a in f.items()} if b0 else {}
+    # g's nonconstant terms by degree; a key of degree d has s d digit bits,
+    # and the key of m1 m2 is ((k1 - 1) << s d2) + k2
+    most = bits * cutoff
+    rows: dict[int, list] = {}
+    for k2, b in g.items():
+        shift = k2.bit_length() - 1
+        if 0 < shift <= most:
+            rows.setdefault(shift, []).append((k2, b))
+    right = sorted(rows.items())
+    for k1, a in f.items():
+        room = most + 1 - k1.bit_length()
+        k1 -= 1
+        for shift, row in right:
+            if shift > room:
                 break
-            key = m1 + m2
-            v = out.get(key, 0) + a * b
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            base = k1 << shift
+            for k2, b in row:
+                key = base + k2
+                v = out.get(key, 0) + a * b
+                if v:
+                    out[key] = v
+                elif key in out:
+                    del out[key]
     return out
 
 
 class GroupElement:
     """A group element stored as its truncated polynomial image.
 
-    terms maps monomials (tuples of generator indices) to nonzero integer
-    coefficients; the empty monomial always carries coefficient 1.
+    terms maps monomials to nonzero integer coefficients.  A monomial
+    x_i1 ... x_id is keyed by one int, monomial_key: a leading 1 bit, then d
+    digits of presentation.letter_bits bits, i1 first; the empty monomial is
+    1 and always carries coefficient 1.  An int hashes and concatenates in
+    one machine step where a tuple is built and hashed letter by letter, so
+    the kernel pays one add per term pair.  The degree is read from the bit
+    length, and keys order by degree, then lexicographically.
     """
 
     __slots__ = ("presentation", "terms", "_hash")
 
     def __init__(self, presentation: Presentation, terms: dict):
-        if terms.get((), 0) != 1:
+        if terms.get(1, 0) != 1:
             raise InternalInconsistencyError("constant term must be 1")
         self.presentation = presentation
         self.terms = terms
         self._hash = None
 
     def coefficient(self, monomial: Monomial) -> int:
-        return self.terms.get(monomial, 0)
-
-    def homogeneous(self, degree: int) -> dict:
-        return {m: v for m, v in self.terms.items() if len(m) == degree}
+        return self.terms.get(monomial_key(monomial, self.presentation.letter_bits), 0)
 
     def is_identity(self) -> bool:
         return len(self.terms) == 1
@@ -91,7 +143,9 @@ class GroupElement:
     def weight(self):
         if self.is_identity():
             return math.inf
-        return min(len(m) for m in self.terms if m)
+        # keys order by degree, and 1 is the least
+        lowest = min(k for k in self.terms if k != 1)
+        return degree(lowest, self.presentation.letter_bits)
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -117,12 +171,16 @@ class GroupElement:
 
     def __repr__(self):
         names = self.presentation.names
+        bits = self.presentation.letter_bits
+        mask = (1 << bits) - 1
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
-            body = "*".join(names[i] for i in mono) if mono else "1"
+        for key in sorted(self.terms):
+            coeff = self.terms[key]
+            d = degree(key, bits)
+            letters = (key >> bits * (d - 1 - j) & mask for j in range(d))
+            body = "*".join(names[i] for i in letters) if d else "1"
             if not parts:
-                parts.append(body if coeff == 1 and mono == () else f"{coeff}*{body}")
+                parts.append(body if coeff == 1 and d == 0 else f"{coeff}*{body}")
                 continue
             sign = "+" if coeff > 0 else "-"
             mag = abs(coeff)
@@ -131,8 +189,14 @@ class GroupElement:
         return f"GroupElement({' '.join(parts)})"
 
 
+def exponent_sums(g: GroupElement) -> list[int]:
+    """The degree-1 coefficients of g: the exponent sum of each generator."""
+    first = 1 << g.presentation.letter_bits
+    return [g.terms.get(k, 0) for k in range(first, first + g.presentation.m)]
+
+
 def identity(presentation: Presentation) -> GroupElement:
-    return GroupElement(presentation, {(): 1})
+    return GroupElement(presentation, {1: 1})
 
 
 # one entry per letter and sign: 2m <= 20 per presentation of class >= 2
@@ -141,10 +205,14 @@ def identity(presentation: Presentation) -> GroupElement:
 def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupElement:
     if not 0 <= index < presentation.m:
         raise ValueError(f"letter index {index} out of range")
+    bits = presentation.letter_bits
     if sign > 0:
-        terms = {(): 1, (index,): 1}
+        terms = {1: 1, monomial_key((index,), bits): 1}
     else:
-        terms = {(index,) * k: (-1) ** k for k in range(presentation.c + 1)}
+        terms = {
+            monomial_key((index,) * k, bits): (-1) ** k
+            for k in range(presentation.c + 1)
+        }
     return GroupElement(presentation, terms)
 
 
@@ -166,61 +234,66 @@ def embed(word: Word, presentation: Presentation) -> GroupElement:
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     if g.presentation != h.presentation:
         raise ValueError("elements live in different presentations")
-    return GroupElement(g.presentation, _raw_mul(g.terms, h.terms, g.presentation.c))
+    p = g.presentation
+    return GroupElement(p, _raw_mul(g.terms, h.terms, p.c, p.letter_bits))
 
 
 def inverse(g: GroupElement) -> GroupElement:
     return power(g, -1)
 
 
-def _series(u: dict, n: int, cutoff: int) -> dict:
+def _series(u: dict, n: int, cutoff: int, bits: int) -> dict:
     """The terms of (1 + u)^n = sum_k C(n, k) u^k up to degree cutoff, for u
     without a constant term or terms above cutoff."""
-    acc = {(): 1}
+    acc = {1: 1}
     term, coeff, k = u, n, 1
     while coeff and term:
-        for mono, v in term.items():
-            total = acc.get(mono, 0) + coeff * v
+        for key, v in term.items():
+            total = acc.get(key, 0) + coeff * v
             if total:
-                acc[mono] = total
-            elif mono in acc:
-                del acc[mono]
+                acc[key] = total
+            elif key in acc:
+                del acc[key]
         k += 1
         coeff = coeff * (n - k + 1) // k  # C(n, k), exact for negative n too
         if coeff:
-            term = _raw_mul(term, u, cutoff)
+            term = _raw_mul(term, u, cutoff, bits)
     return acc
 
 
 def power(g: GroupElement, n: int) -> GroupElement:
-    u = {m: v for m, v in g.terms.items() if m}
-    return GroupElement(g.presentation, _series(u, n, g.presentation.c))
+    p = g.presentation
+    u = {k: v for k, v in g.terms.items() if k != 1}
+    return GroupElement(p, _series(u, n, p.c, p.letter_bits))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """[g, h] = g^-1 h^-1 g h = 1 + (hg)^-1 (uv - vu) for u = g - 1, v = h - 1."""
     if g.presentation != h.presentation:
         raise ValueError("elements live in different presentations")
-    c = g.presentation.c
-    u = {m: x for m, x in g.terms.items() if m}
-    v = {m: x for m, x in h.terms.items() if m}
-    bracket = _raw_mul(u, v, c)
-    for mono, x in _raw_mul(v, u, c).items():
-        total = bracket.get(mono, 0) - x
+    c, bits = g.presentation.c, g.presentation.letter_bits
+    u = {k: x for k, x in g.terms.items() if k != 1}
+    v = {k: x for k, x in h.terms.items() if k != 1}
+    bracket = _raw_mul(u, v, c, bits)
+    for key, x in _raw_mul(v, u, c, bits).items():
+        total = bracket.get(key, 0) - x
         if total:
-            bracket[mono] = total
+            bracket[key] = total
         else:
-            del bracket[mono]
+            del bracket[key]
     if not bracket:
         return identity(g.presentation)
     # (hg)^-1 matters only up to degree c - d, where uv - vu starts in degree d
-    room = c - min(len(m) for m in bracket)
-    h_low = {m: x for m, x in h.terms.items() if len(m) <= room}
-    hg = _raw_mul(h_low, g.terms, room)
-    del hg[()]
-    terms = _raw_mul(_series(hg, -1, room), bracket, c)
-    terms[()] = 1
-    return GroupElement(g.presentation, terms)
+    room = c - degree(min(bracket), bits)
+    if room:
+        # the keys of degree <= room are those below 1 << bits * (room + 1)
+        limit = 1 << bits * (room + 1)
+        h_low = {k: x for k, x in h.terms.items() if k < limit}
+        hg = _raw_mul(h_low, g.terms, room, bits)
+        del hg[1]
+        bracket = _raw_mul(_series(hg, -1, room, bits), bracket, c, bits)
+    bracket[1] = 1
+    return GroupElement(g.presentation, bracket)
 
 
 def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:

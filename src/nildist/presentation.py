@@ -104,6 +104,8 @@ class Presentation(metaclass=_Interned):
             )
         # set here, not on first read, so equal presentations have equal vars()
         object.__setattr__(self, "hirsch_length", length)
+        # bits per letter in a monomial's integer key (see magnus)
+        object.__setattr__(self, "letter_bits", max(1, (self.m - 1).bit_length()))
 
     def __eq__(self, other):
         # polynomial ops compare presentations, nearly always one with itself

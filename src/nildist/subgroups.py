@@ -71,7 +71,17 @@ from functools import cached_property
 from .errors import CapExceededError, InternalInconsistencyError
 from .hall import _block_exponents, hall_basis, to_coordinates
 from .intmat import RepeatedSolver, hermite_normal_form, rank
-from .magnus import GroupElement, commutator, embed, inverse, multiply, power
+from .magnus import (
+    GroupElement,
+    commutator,
+    embed,
+    exponent_sums,
+    inverse,
+    key_product,
+    monomial_key,
+    multiply,
+    power,
+)
 from .presentation import Presentation
 from .words import Slp, Word, free_reduce, format_word, substitute
 
@@ -87,9 +97,7 @@ class AbelianizedBasis:
 
 def abelianized_basis(elements, presentation: Presentation) -> AbelianizedBasis:
     m = presentation.m
-    # the coefficient of x_i is the exponent sum of generator i
-    rows = [[g.coefficient((i,)) for i in range(m)] for g in elements]
-    h, _ = hermite_normal_form(rows)
+    h, _ = hermite_normal_form([exponent_sums(g) for g in elements])
     base_rows = [row for row in h if any(row)]
     k = len(base_rows)
     unit = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -110,14 +118,37 @@ class Retraction:
 
     def __call__(self, g: GroupElement) -> GroupElement:
         """r(g): every monomial with a killed index dropped, the kept
-        indices renumbered into target."""
+        indices renumbered into target.  Each source key is looked up in
+        one table of target keys, so no monomial is decoded."""
         if g.presentation != self.source:
             raise ValueError("element and retraction live in different presentations")
         # x_j -> 0 for killed j is a ring map that keeps degrees, so it
         # commutes with the truncation, and it sends 1 + x_j to 1
-        renumber = {amb: i for i, amb in enumerate(self.kept)}
-        images = ((tuple(map(renumber.get, mono)), v) for mono, v in g.terms.items())
-        return GroupElement(self.target, {i: v for i, v in images if None not in i})
+        table = self._keys
+        images = ((table[k], v) for k, v in g.terms.items())
+        return GroupElement(self.target, {k: v for k, v in images if k})
+
+    @cached_property
+    def _keys(self) -> dict[int, int]:
+        """Every source monomial key of degree <= c mapped to the target key
+        of its image, or to 0 when the monomial holds a killed index.  It
+        lives as long as the retraction, one per decision."""
+        sbits, tbits = self.source.letter_bits, self.target.letter_bits
+        image = {amb: monomial_key((i,), tbits) for i, amb in enumerate(self.kept)}
+        # (source key, target key) per letter, 0 for a killed one
+        letters = [
+            (monomial_key((j,), sbits), image.get(j, 0)) for j in range(self.source.m)
+        ]
+        table = {1: 1}
+        layer = [(1, 1)]
+        for _ in range(self.source.c):
+            layer = [
+                (key_product(k, x), t and y and key_product(t, y))
+                for k, t in layer
+                for x, y in letters
+            ]
+            table.update(layer)
+        return table
 
 
 def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Retraction:
@@ -155,7 +186,8 @@ class _Entry:
 def _lead(g: GroupElement):
     """(pivot, value) of g's first nonzero coordinate, or None for the
     identity.  For g of weight w the blocks below w are zero and block w is
-    not, so one solve on the degree-w terms finds it."""
+    not, so one solve on the degree-w terms, read at the weight's monomial
+    keys, finds it."""
     if g.is_identity():
         return None
     w = g.weight()
@@ -193,8 +225,9 @@ class SubgroupStandardBasis:
     @cached_property
     def abelianization(self) -> RepeatedSolver:
         """The lattice of H's exponent sums, spanned by those of its slots."""
-        m, gs = self.presentation.m, [t.element for t in self._slots.values()]
-        return RepeatedSolver([[g.coefficient((i,)) for g in gs] for i in range(m)])
+        m, slots = self.presentation.m, self._slots.values()
+        sums = [exponent_sums(t.element) for t in slots]
+        return RepeatedSolver([[s[i] for s in sums] for i in range(m)])
 
     @cached_property
     def entries(self) -> tuple[_Entry, ...]:
@@ -302,7 +335,7 @@ def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
         raise ValueError("element and basis live in different presentations")
     # g in H puts g's exponent sums in H's abelianization; zero sums, as a
     # commutator has, lie in every lattice and need no solve
-    sums = [g.coefficient((i,)) for i in range(g.presentation.m)]
+    sums = exponent_sums(g)
     if any(sums) and basis.abelianization.solve(sums) is None:
         return False
     while True:

@@ -1,11 +1,12 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written against different representations
-than the package uses: polynomial arithmetic on graded layers instead of one
-flat dictionary, the integer Heisenberg group as coordinate triples, necklace
-counting by rotation instead of the Mobius formula, fraction-free
-elimination instead of Hermite reduction, the retraction and the
-abelianization on letters instead of polynomials, normality by two
+than the package uses: polynomial arithmetic on graded layers of tuple-keyed
+monomials instead of one flat dictionary on integer keys (read and written
+here from the key layout alone), the integer Heisenberg group as coordinate
+triples, necklace counting by rotation instead of the Mobius formula,
+fraction-free elimination instead of Hermite reduction, the retraction and
+the abelianization on letters instead of polynomials, normality by two
 conjugates per letter instead of one commutator, the Mal'cev peel by
 products at every weight instead of subtraction past half the class, a
 Cayley-graph search that multiplies every frontier element by every step
@@ -33,6 +34,47 @@ from nildist.subgroups import (
     build_retraction,
 )
 from nildist.words import Slp, free_reduce, substitute
+
+
+# ------------------------------------------------------------ monomial keys
+
+# The package keys a monomial by one int.  These read and write that layout
+# from its definition alone, through binary strings: a leading 1 bit, then
+# one digit of max(1, (m - 1).bit_length()) bits per letter, first letter
+# first.  Every comparison of GroupElement.terms with the tuple-keyed
+# oracles below goes through them.
+
+def key_bits(m):
+    return max(1, (m - 1).bit_length())
+
+
+def encode_monomial(mono, m):
+    bits = key_bits(m)
+    return int("1" + "".join(format(i, f"0{bits}b") for i in mono), 2)
+
+
+def decode_monomial(key, m):
+    bits, body = key_bits(m), bin(key)[3:]
+    assert bin(key).startswith("0b1") and len(body) % bits == 0, key
+    return tuple(int(body[j:j + bits], 2) for j in range(0, len(body), bits))
+
+
+def encode_terms(poly, m):
+    return {encode_monomial(mono, m): v for mono, v in poly.items()}
+
+
+def decode_terms(terms, m):
+    return {decode_monomial(key, m): v for key, v in terms.items()}
+
+
+def tuple_terms(g):
+    """g's terms as a monomial-tuple -> coefficient dict."""
+    return decode_terms(g.terms, g.presentation.m)
+
+
+def homogeneous(g, degree):
+    """The degree-d part of g's image, keyed by monomial tuples."""
+    return {mono: v for mono, v in tuple_terms(g).items() if len(mono) == degree}
 
 
 # ---------------------------------------------------------------- polynomials
@@ -88,7 +130,7 @@ def _graded_embed(word, m, c):
 
 def naive_embed(word, m, c):
     """Letter-by-letter expansion into degree-graded layers; returns a flat
-    monomial -> coefficient dict for comparison with GroupElement.terms."""
+    monomial -> coefficient dict for comparison with tuple_terms."""
     return _flat(_graded_embed(word, m, c))
 
 
@@ -269,11 +311,13 @@ def product_peel(g):
     coords = []
     for w in range(1, g.presentation.c + 1):
         block = basis.block(w)
-        part = residual.homogeneous(w)
+        part = homogeneous(residual, w)
         if not part:
             coords.extend((0,) * len(block))
             continue
-        vector = [part.get(mono, 0) for mono in basis._monomials[w]]
+        # the solver's rows are the degree-w monomials in lexicographic order
+        monos = cartesian(range(g.presentation.m), repeat=w)
+        vector = [part.get(mono, 0) for mono in monos]
         exponents = basis._solvers[w].solve(vector)
         if exponents is None:
             raise InternalInconsistencyError(

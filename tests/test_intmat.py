@@ -1,5 +1,6 @@
 import random
 
+import pytest
 
 from oracles import bareiss_rank, fraction_det, matmul
 from nildist.intmat import RepeatedSolver, hermite_normal_form, rank
@@ -116,10 +117,14 @@ def test_solve_unsolvable_small():
 
 
 def test_repeated_solver_matches_one_shot():
-    # one solver reused across right-hand sides answers as a fresh one does
+    # one solver reused across right-hand sides answers as a fresh one does,
+    # on consistent, inconsistent and non-divisible right-hand sides alike
     rng = random.Random(37)
     a = random_matrix(rng, 4, 3)
-    solver = RepeatedSolver(a)
+    assert bareiss_rank(a) == 3
+    doubled = [[2 * v for v in row] for row in a]
+    solver, doubled_solver = RepeatedSolver(a), RepeatedSolver(doubled)
+    inconsistent = 0
     for _ in range(50):
         b = [rng.randint(-20, 20) for _ in range(4)]
         one = solve(a, b)
@@ -127,4 +132,19 @@ def test_repeated_solver_matches_one_shot():
         assert (one is None) == (many is None)
         if many is not None:
             assert apply(a, many) == b
-
+        # b off the rational span of the columns has no solution at all
+        if bareiss_rank([row + [v] for row, v in zip(a, b)]) > 3:
+            inconsistent += 1
+            assert many is None
+        # 2a y = a x has the one rational solution x / 2, an integer one
+        # exactly when x is even
+        x = [rng.randint(-9, 9) for _ in range(3)]
+        y = doubled_solver.solve(apply(a, x))
+        assert y == solve(doubled, apply(a, x))
+        if all(v % 2 == 0 for v in x):
+            assert y == [v // 2 for v in x]
+        else:
+            assert y is None
+    assert inconsistent > 25
+    with pytest.raises(ValueError):
+        solver.solve([0, 0, 0])

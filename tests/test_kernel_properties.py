@@ -1,17 +1,37 @@
 """Property tests of the polynomial kernel against the graded oracles, for
 every class from 1 to 7 and for F(5,3), the widest group of the nf-deep
-workload."""
+workload, and of the monomial keys against the decoder in oracles."""
 
+import math
+import random
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import graded_power, graded_product, naive_embed
+from oracles import (
+    decode_monomial,
+    decode_terms,
+    encode_terms,
+    graded_power,
+    graded_product,
+    naive_embed,
+    random_word,
+    tuple_terms,
+)
+from nildist import magnus
+from nildist.errors import InternalInconsistencyError
+from nildist.hall import to_coordinates
 from nildist.magnus import (
+    GroupElement,
     _raw_mul,
     commutator,
+    degree,
     embed,
     evaluate,
+    identity,
     inverse,
+    monomial_key,
     multiply,
     power,
 )
@@ -82,19 +102,21 @@ def test_raw_mul_matches_graded_product(data):
         {m: v for m, v in data.draw(polynomials(p)).items() if len(m) <= cutoff}
         for _ in range(2)
     )
-    assert _raw_mul(f, g, cutoff) == graded_product(f, g, cutoff)
+    f_keys, g_keys = encode_terms(f, p.m), encode_terms(g, p.m)
+    product = _raw_mul(f_keys, g_keys, cutoff, p.letter_bits)
+    assert decode_terms(product, p.m) == graded_product(f, g, cutoff)
 
 
 @KERNEL
 @given(st.data())
 def test_raw_mul_returns_a_new_dict(data):
     p = data.draw(groups)
-    f = data.draw(polynomials(p))
-    g = data.draw(polynomials(p))
-    one = _raw_mul(f, {(): 1}, p.c)
+    f = encode_terms(data.draw(polynomials(p)), p.m)
+    g = encode_terms(data.draw(polynomials(p)), p.m)
+    one = _raw_mul(f, {1: 1}, p.c, p.letter_bits)
     assert one == f and one is not f
     before = (dict(f), dict(g))
-    product = _raw_mul(f, g, p.c)
+    product = _raw_mul(f, g, p.c, p.letter_bits)
     assert (f, g) == before and product is not f and product is not g
 
 
@@ -104,7 +126,8 @@ def test_multiply_matches_naive_embed(data):
     p = data.draw(groups)
     u = data.draw(words(p, 10))
     v = data.draw(words(p, 10))
-    assert multiply(embed(u, p), embed(v, p)).terms == naive_embed(u + v, p.m, p.c)
+    product = multiply(embed(u, p), embed(v, p))
+    assert tuple_terms(product) == naive_embed(u + v, p.m, p.c)
 
 
 @KERNEL
@@ -113,7 +136,7 @@ def test_power_matches_repeated_word(data):
     p = data.draw(groups)
     w = data.draw(words(p, 5))
     n = data.draw(st.integers(-8, 8))
-    assert power(embed(w, p), n).terms == naive_embed(word_power(w, n), p.m, p.c)
+    assert tuple_terms(power(embed(w, p), n)) == naive_embed(word_power(w, n), p.m, p.c)
 
 
 @KERNEL
@@ -124,7 +147,7 @@ def test_large_power_matches_square_and_multiply(data):
     n = data.draw(st.integers(10**6 - 50, 10**6 + 50)) * data.draw(
         st.sampled_from((1, -1))
     )
-    assert power(embed(w, p), n).terms == graded_power(w, n, p.m, p.c)
+    assert tuple_terms(power(embed(w, p), n)) == graded_power(w, n, p.m, p.c)
 
 
 @KERNEL
@@ -146,7 +169,7 @@ def test_commutator_matches_the_product_of_four(data):
     g, h = embed(u, p), embed(v, p)
     bracket = commutator(g, h)
     assert bracket == multiply(multiply(inverse(g), inverse(h)), multiply(g, h))
-    assert bracket.terms == naive_embed(commutator_word(u, v), p.m, p.c)
+    assert tuple_terms(bracket) == naive_embed(commutator_word(u, v), p.m, p.c)
 
 
 def test_commutator_of_deep_operands():
@@ -159,4 +182,77 @@ def test_commutator_of_deep_operands():
         g, h = embed(u, p), embed(v, p)
         bracket = commutator(g, h)
         assert bracket.is_identity() == (c < 5)
-        assert bracket.terms == naive_embed(commutator_word(u, v), p.m, p.c)
+        assert tuple_terms(bracket) == naive_embed(commutator_word(u, v), p.m, p.c)
+
+
+def test_room_zero_commutator_takes_two_products(monkeypatch):
+    # when uv - vu starts in degree c, (hg)^-1 is cut to 1 and the
+    # commutator is 1 + (uv - vu): the two products that form the bracket
+    calls, kernel = [], magnus._raw_mul
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(magnus, "_raw_mul", counting)
+    rng = random.Random(41)
+    room_zero = 0
+    for p in GROUPS:
+        for _ in range(40):
+            u, v = random_word(rng, p.m, 3, 1), random_word(rng, p.m, 3, 1)
+            for _ in range(rng.randrange(min(p.c, 4))):
+                u, v = commutator_word(u, v), random_word(rng, p.m, 2, 1)
+            g, h = embed(u, p), embed(v, p)
+            calls.clear()
+            bracket = commutator(g, h)
+            room_zero += bracket.weight() == p.c
+            assert (len(calls) == 2) == (bracket.weight() >= p.c)
+            assert tuple_terms(bracket) == naive_embed(commutator_word(u, v), p.m, p.c)
+    assert room_zero > 50
+
+
+KEY_RANKS = (1, 2, 3, 4, 5, 8, 9, 10)
+
+
+@KERNEL
+@given(st.data())
+def test_monomial_keys_round_trip_concatenate_and_carry_the_degree(data):
+    m = data.draw(st.sampled_from(KEY_RANKS))
+    bits = Presentation(m, 1).letter_bits
+    monomials = st.lists(st.integers(0, m - 1), max_size=80).map(tuple)
+    u, v = data.draw(monomials), data.draw(monomials)
+    ku, kv = monomial_key(u, bits), monomial_key(v, bits)
+    assert decode_monomial(ku, m) == u
+    assert monomial_key(u + v, bits) == ((ku - 1) << bits * len(v)) + kv
+    assert degree(ku, bits) == (ku.bit_length() - 1) // bits == len(u)
+    # keys order by degree, then lexicographically
+    assert (ku < kv) == ((len(u), u) < (len(v), v))
+
+
+def test_keys_past_64_bits():
+    # F(1, 400): the degree-400 key is 2^400, and a^n has the binomial
+    # coefficients C(n, k) up to degree 400, negative n too
+    p = Presentation(1, 400)
+    a = embed(((0, 1),), p)
+    assert monomial_key((0,) * 400, p.letter_bits) == 1 << 400
+    for n in (2, 3, 1000, -1, -7):
+        g = power(a, n)
+        binomials = (
+            math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+            for k in range(401)
+        )
+        expected = {(0,) * k: b for k, b in enumerate(binomials) if b}
+        assert tuple_terms(g) == expected
+        assert g.coefficient((0,) * 400) == expected.get((0,) * 400, 0)
+        assert to_coordinates(g) == (n,) and g.weight() == 1
+        assert multiply(g, power(a, -n)) == identity(p)
+
+
+def test_group_element_refuses_tuple_keys():
+    # the constant term is read at key 1, which a tuple-keyed dict lacks
+    p = Presentation(2, 2)
+    with pytest.raises(InternalInconsistencyError):
+        GroupElement(p, {(): 1, (0,): 1})
+    assert GroupElement(p, {1: 1, monomial_key((0,), p.letter_bits): 1}) == embed(
+        ((0, 1),), p
+    )

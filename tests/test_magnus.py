@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nildist
-from oracles import heis_eval, naive_embed, random_word
+from oracles import heis_eval, homogeneous, naive_embed, random_word, tuple_terms
 from nildist.magnus import (
     commutator,
     embed,
@@ -31,20 +31,20 @@ PRESENTATIONS = (P22, P23, P32, P33)
 
 def test_generator_images():
     g = embed(parse_word("a", P23), P23)
-    assert g.terms == {(): 1, (0,): 1}
+    assert tuple_terms(g) == {(): 1, (0,): 1}
     h = embed(parse_word("a^-1", P23), P23)
-    assert h.terms == {(): 1, (0,): -1, (0, 0): 1, (0, 0, 0): -1}
+    assert tuple_terms(h) == {(): 1, (0,): -1, (0, 0): 1, (0, 0, 0): -1}
     assert multiply(g, h).is_identity()
 
 
 def test_commutator_image():
     g = embed(parse_word("[a,b]", P22), P22)
-    assert g.terms == {(): 1, (0, 1): 1, (1, 0): -1}
+    assert tuple_terms(g) == {(): 1, (0, 1): 1, (1, 0): -1}
 
 
 def test_product_image():
     g = multiply(embed(((0, 1),), P22), embed(((1, 1),), P22))
-    assert g.terms == {(): 1, (0,): 1, (1,): 1, (0, 1): 1}
+    assert tuple_terms(g) == {(): 1, (0,): 1, (1,): 1, (0, 1): 1}
 
 
 def test_powers_have_binomial_coefficients():
@@ -74,10 +74,10 @@ def test_embed_matches_naive_expansion():
     for p in PRESENTATIONS:
         for _ in range(60):
             w = random_word(rng, p.m, 8)
-            assert embed(w, p).terms == naive_embed(w, p.m, p.c)
+            assert tuple_terms(embed(w, p)) == naive_embed(w, p.m, p.c)
         # long runs of one letter, each embedded as one power
         w = parse_word("a^7 b^-5 a^-3 b^2 a", p)
-        assert embed(w, p).terms == naive_embed(w, p.m, p.c)
+        assert tuple_terms(embed(w, p)) == naive_embed(w, p.m, p.c)
 
 
 def test_embed_is_a_homomorphism():
@@ -119,7 +119,7 @@ def test_commutator_of_powers():
         g = commutator(
             power(embed(((0, 1),), P23), n), power(embed(((1, 1),), P23), n)
         )
-        assert g.homogeneous(2) == {(0, 1): n * n, (1, 0): -n * n}
+        assert homogeneous(g, 2) == {(0, 1): n * n, (1, 0): -n * n}
 
 
 def test_weight():
@@ -169,7 +169,7 @@ from nildist.magnus import GroupElement
 from nildist.presentation import Presentation
 hall.witt_number = lambda m, k: 0  # the Hall basis count can no longer match
 p = Presentation(2, 3)
-for build in (lambda: GroupElement(p, {(): 2}), lambda: hall.HallBasis(p)):
+for build in (lambda: GroupElement(p, {1: 2}), lambda: hall.HallBasis(p)):
     try:
         build()
     except InternalInconsistencyError:
