@@ -75,8 +75,9 @@ class RepeatedSolver:
     matrix a given by its rows.
 
     The Hermite form of the transpose is computed once; each solve is then a
-    forward substitution along the pivot rows, each kept as its nonzero
-    (column, value) pairs, since most of a pivot row is zero.
+    forward substitution along the pivot rows.  Each pivot row and its row
+    of the transform are kept as their nonzero (column, value) pairs, since
+    most of either is zero, and x sums only the rows of the pivots used.
     """
 
     def __init__(self, rows):
@@ -84,12 +85,14 @@ class RepeatedSolver:
         self.ncols = len(rows[0]) if rows else 0
         h = [list(col) for col in zip(*rows)]
         u = _hnf_lists(h)
-        # (pivot column, pivot value, the row's nonzero entries, its row of u)
+        # (pivot column, pivot value, the nonzero entries of the row and of
+        # its row of u)
         self.pivots = []
-        for i, row in enumerate(h):
+        for row, urow in zip(h, u):
             entries = [(j, v) for j, v in enumerate(row) if v]
             if entries:
-                self.pivots.append((entries[0][0], entries[0][1], entries, u[i]))
+                transform = [(t, v) for t, v in enumerate(urow) if v]
+                self.pivots.append((entries[0][0], entries[0][1], entries, transform))
 
     def solve(self, b) -> list[int] | None:
         if len(b) != self.nrows:
@@ -97,15 +100,19 @@ class RepeatedSolver:
         residual = list(b)
         # the nonzero entries q of y, each with its row of u
         combination = []
-        for j, pivot, entries, urow in self.pivots:
+        for j, pivot, entries, transform in self.pivots:
             value = residual[j]
             if value % pivot:
                 return None
             q = value // pivot
             if q:
-                combination.append((q, urow))
+                combination.append((q, transform))
                 for col, v in entries:
                     residual[col] -= q * v
         if any(residual):
             return None
-        return [sum(q * u[t] for q, u in combination) for t in range(self.ncols)]
+        x = [0] * self.ncols
+        for q, transform in combination:
+            for t, v in transform:
+                x[t] += q * v
+        return x

@@ -19,14 +19,19 @@ letter by letter.
 Every integer power, the inverse included, is the binomial series
 (1 + u)^n = sum_k C(n, k) u^k for u = g - 1, negative n too: u^k starts in
 degree k, so the sum stops by degree c.  Multiplication visits only the term
-pairs under the truncation: the right operand's monomials are grouped by
-degree once per product, and each left monomial walks the groups up to the
-degree it has room for.  The right operand's constant term b0 adds b0 times
-the left operand in one copy (dict(f) for a group element), so the pair
-loop walks only the nonconstant monomials; the copy needs a left operand
-with nothing above the cutoff, so commutator truncates h before it forms
-hg.  embed and evaluate start a product from its first factor, and evaluate
-reads a parse tree without expanding its powers.
+pairs under the truncation: the right operand's nonconstant monomials come
+grouped by degree into rows, and each left monomial walks the rows up to the
+degree it has room for.  A GroupElement groups its terms once, on its first
+use as a right operand, and keeps the rows: every product by it, the c - 1
+products of a power's series and a commutator's three products all read
+them.  The rows hold every degree and the walk stops at the room, so one row
+set serves any cutoff.  Only fresh dicts, the bracket and hg in a
+commutator, are grouped on the spot.  The right operand's constant term b0
+adds b0 times the left operand in one copy (dict(f) for a group element), so
+the pair loop walks only the rows; the copy needs a left operand with
+nothing above the cutoff, so commutator truncates h before it forms hg.
+embed and evaluate start a product from its first factor, and evaluate reads
+a parse tree without expanding its powers.
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
@@ -81,25 +86,29 @@ def degree_keys(presentation: Presentation, d: int) -> list[int]:
     return [monomial_key(t, presentation.letter_bits) for t in monomials]
 
 
-def _raw_mul(f: dict, g: dict, cutoff: int, bits: int) -> dict:
-    """f * g truncated above degree cutoff, on keys of bits bits per letter.
-    f must hold no monomial above cutoff: g's constant term b0 contributes
-    b0 * f as it stands."""
-    b0 = g.get(1, 0)
-    out = dict(f) if b0 == 1 else {k: a * b0 for k, a in f.items()} if b0 else {}
-    # g's nonconstant terms by degree; a key of degree d has s d digit bits,
-    # and the key of m1 m2 is ((k1 - 1) << s d2) + k2
-    most = bits * cutoff
+def _degree_rows(terms: dict) -> list:
+    """terms' nonconstant monomials grouped by key shift, in increasing
+    order: a key of degree d has shift s d, and the key of m1 m2 is
+    ((k1 - 1) << s d2) + k2.  Every degree is kept, so the rows serve any
+    cutoff."""
     rows: dict[int, list] = {}
-    for k2, b in g.items():
-        shift = k2.bit_length() - 1
-        if 0 < shift <= most:
-            rows.setdefault(shift, []).append((k2, b))
-    right = sorted(rows.items())
+    for k, b in terms.items():
+        shift = k.bit_length() - 1
+        if shift:
+            rows.setdefault(shift, []).append((k, b))
+    return sorted(rows.items())
+
+
+def _raw_mul(f: dict, rows: list, b0: int, cutoff: int, bits: int) -> dict:
+    """f * g truncated above degree cutoff, on keys of bits bits per letter,
+    for g given by its constant term b0 and its _degree_rows.  f must hold
+    no monomial above cutoff: b0 contributes b0 * f as it stands."""
+    out = dict(f) if b0 == 1 else {k: a * b0 for k, a in f.items()} if b0 else {}
+    most = bits * cutoff
     for k1, a in f.items():
         room = most + 1 - k1.bit_length()
         k1 -= 1
-        for shift, row in right:
+        for shift, row in rows:
             if shift > room:
                 break
             base = k1 << shift
@@ -123,9 +132,13 @@ class GroupElement:
     one machine step where a tuple is built and hashed letter by letter, so
     the kernel pays one add per term pair.  The degree is read from the bit
     length, and keys order by degree, then lexicographically.
+
+    terms is never changed after construction, so the hash and the degree
+    rows the kernel reads of a right operand are computed once, on first
+    use, and kept; the rows hold every degree, so any cutoff can read them.
     """
 
-    __slots__ = ("presentation", "terms", "_hash")
+    __slots__ = ("presentation", "terms", "_hash", "_rows")
 
     def __init__(self, presentation: Presentation, terms: dict):
         if terms.get(1, 0) != 1:
@@ -133,6 +146,14 @@ class GroupElement:
         self.presentation = presentation
         self.terms = terms
         self._hash = None
+        self._rows = None
+
+    @property
+    def rows(self) -> list:
+        """The nonconstant terms grouped by degree (_degree_rows)."""
+        if self._rows is None:
+            self._rows = _degree_rows(self.terms)
+        return self._rows
 
     def coefficient(self, monomial: Monomial) -> int:
         return self.terms.get(monomial_key(monomial, self.presentation.letter_bits), 0)
@@ -232,19 +253,20 @@ def embed(word: Word, presentation: Presentation) -> GroupElement:
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.presentation != h.presentation:
-        raise ValueError("elements live in different presentations")
     p = g.presentation
-    return GroupElement(p, _raw_mul(g.terms, h.terms, p.c, p.letter_bits))
+    if p is not h.presentation and p != h.presentation:
+        raise ValueError("elements live in different presentations")
+    return GroupElement(p, _raw_mul(g.terms, h.rows, 1, p.c, p.letter_bits))
 
 
 def inverse(g: GroupElement) -> GroupElement:
     return power(g, -1)
 
 
-def _series(u: dict, n: int, cutoff: int, bits: int) -> dict:
+def _series(u: dict, rows: list, n: int, cutoff: int, bits: int) -> dict:
     """The terms of (1 + u)^n = sum_k C(n, k) u^k up to degree cutoff, for u
-    without a constant term or terms above cutoff."""
+    without a constant term or terms above cutoff, and rows its
+    _degree_rows (or those of any u' that agrees with u up to cutoff)."""
     acc = {1: 1}
     term, coeff, k = u, n, 1
     while coeff and term:
@@ -257,43 +279,45 @@ def _series(u: dict, n: int, cutoff: int, bits: int) -> dict:
         k += 1
         coeff = coeff * (n - k + 1) // k  # C(n, k), exact for negative n too
         if coeff:
-            term = _raw_mul(term, u, cutoff, bits)
+            term = _raw_mul(term, rows, 0, cutoff, bits)
     return acc
 
 
 def power(g: GroupElement, n: int) -> GroupElement:
     p = g.presentation
     u = {k: v for k, v in g.terms.items() if k != 1}
-    return GroupElement(p, _series(u, n, p.c, p.letter_bits))
+    return GroupElement(p, _series(u, g.rows, n, p.c, p.letter_bits))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     """[g, h] = g^-1 h^-1 g h = 1 + (hg)^-1 (uv - vu) for u = g - 1, v = h - 1."""
-    if g.presentation != h.presentation:
+    p = g.presentation
+    if p is not h.presentation and p != h.presentation:
         raise ValueError("elements live in different presentations")
-    c, bits = g.presentation.c, g.presentation.letter_bits
+    c, bits = p.c, p.letter_bits
     u = {k: x for k, x in g.terms.items() if k != 1}
     v = {k: x for k, x in h.terms.items() if k != 1}
-    bracket = _raw_mul(u, v, c, bits)
-    for key, x in _raw_mul(v, u, c, bits).items():
+    bracket = _raw_mul(u, h.rows, 0, c, bits)
+    for key, x in _raw_mul(v, g.rows, 0, c, bits).items():
         total = bracket.get(key, 0) - x
         if total:
             bracket[key] = total
         else:
             del bracket[key]
     if not bracket:
-        return identity(g.presentation)
+        return identity(p)
     # (hg)^-1 matters only up to degree c - d, where uv - vu starts in degree d
     room = c - degree(min(bracket), bits)
     if room:
         # the keys of degree <= room are those below 1 << bits * (room + 1)
         limit = 1 << bits * (room + 1)
         h_low = {k: x for k, x in h.terms.items() if k < limit}
-        hg = _raw_mul(h_low, g.terms, room, bits)
+        hg = _raw_mul(h_low, g.rows, 1, room, bits)
         del hg[1]
-        bracket = _raw_mul(_series(hg, -1, room, bits), bracket, c, bits)
+        inverse_hg = _series(hg, _degree_rows(hg), -1, room, bits)
+        bracket = _raw_mul(inverse_hg, _degree_rows(bracket), 0, c, bits)
     bracket[1] = 1
-    return GroupElement(g.presentation, bracket)
+    return GroupElement(p, bracket)
 
 
 def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:

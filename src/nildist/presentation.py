@@ -47,11 +47,18 @@ def mobius(n: int) -> int:
 
 
 def witt_number(m: int, k: int) -> int:
-    """Rank of the degree-k layer of the free Lie ring on m generators."""
+    """Rank of the degree-k layer of the free Lie ring on m generators:
+    the sum of mobius(d) m^(k/d) over the divisors d of k, divided by k.
+    Divisors come in pairs d, k/d with d <= sqrt(k)."""
     total = 0
-    for d in range(1, k + 1):
+    d = 1
+    while d * d <= k:
         if k % d == 0:
-            total += mobius(d) * m ** (k // d)
+            e = k // d
+            total += mobius(d) * m**e
+            if e != d:
+                total += mobius(e) * m**d
+        d += 1
     return total // k
 
 

@@ -331,7 +331,8 @@ def induced_basis(
 
 
 def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
-    if g.presentation != basis.presentation:
+    p = g.presentation
+    if p is not basis.presentation and p != basis.presentation:
         raise ValueError("element and basis live in different presentations")
     # g in H puts g's exponent sums in H's abelianization; zero sums, as a
     # commutator has, lie in every lattice and need no solve

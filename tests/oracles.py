@@ -4,7 +4,9 @@ Everything here is deliberately written against different representations
 than the package uses: polynomial arithmetic on graded layers of tuple-keyed
 monomials instead of one flat dictionary on integer keys (read and written
 here from the key layout alone), the integer Heisenberg group as coordinate
-triples, necklace counting by rotation instead of the Mobius formula,
+triples, necklace counting by rotation instead of the Mobius formula, the
+Witt numbers by the Mobius sum over every d <= k with Mobius read off its
+defining recursion instead of the divisor pairs and trial division,
 fraction-free elimination instead of Hermite reduction, the retraction and
 the abelianization on letters instead of polynomials, normality by two
 conjugates per letter instead of one commutator, the Mal'cev peel by
@@ -194,6 +196,22 @@ def lyndon_count(m, k):
         if len(rotations) == k and min(rotations) == t:
             count += 1
     return count
+
+
+def _mobius_by_recursion(n, table={1: 1}):
+    """mu(n) from sum over d | n of mu(d) = 0 for n > 1."""
+    if n not in table:
+        table[n] = -sum(_mobius_by_recursion(d) for d in range(1, n) if n % d == 0)
+    return table[n]
+
+
+def witt_every_d(m, k):
+    """The Witt number W(m, k), testing every d from 1 to k as a divisor."""
+    total = 0
+    for d in range(1, k + 1):
+        if k % d == 0:
+            total += _mobius_by_recursion(d) * m ** (k // d)
+    return total // k
 
 
 # ------------------------------------------------------------ linear algebra

@@ -1,6 +1,7 @@
 """Property tests of the polynomial kernel against the graded oracles, for
 every class from 1 to 7 and for F(5,3), the widest group of the nf-deep
-workload, and of the monomial keys against the decoder in oracles."""
+workload, of the monomial keys against the decoder in oracles, and counts of
+how often the kernel's right operands are grouped into degree rows."""
 
 import math
 import random
@@ -20,11 +21,14 @@ from oracles import (
     tuple_terms,
 )
 from nildist import magnus
+from nildist.distortion import enumerate_ball
 from nildist.errors import InternalInconsistencyError
 from nildist.hall import to_coordinates
 from nildist.magnus import (
     GroupElement,
+    _degree_rows,
     _raw_mul,
+    _series,
     commutator,
     degree,
     embed,
@@ -91,6 +95,11 @@ def expressions(p):
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+def kernel(f, g, cutoff, bits):
+    """f * g by the kernel, with g passed as its constant term and rows."""
+    return _raw_mul(f, _degree_rows(g), g.get(1, 0), cutoff, bits)
+
+
 @KERNEL
 @given(st.data())
 def test_raw_mul_matches_graded_product(data):
@@ -103,7 +112,7 @@ def test_raw_mul_matches_graded_product(data):
         for _ in range(2)
     )
     f_keys, g_keys = encode_terms(f, p.m), encode_terms(g, p.m)
-    product = _raw_mul(f_keys, g_keys, cutoff, p.letter_bits)
+    product = kernel(f_keys, g_keys, cutoff, p.letter_bits)
     assert decode_terms(product, p.m) == graded_product(f, g, cutoff)
 
 
@@ -113,11 +122,83 @@ def test_raw_mul_returns_a_new_dict(data):
     p = data.draw(groups)
     f = encode_terms(data.draw(polynomials(p)), p.m)
     g = encode_terms(data.draw(polynomials(p)), p.m)
-    one = _raw_mul(f, {1: 1}, p.c, p.letter_bits)
+    one = kernel(f, {1: 1}, p.c, p.letter_bits)
     assert one == f and one is not f
     before = (dict(f), dict(g))
-    product = _raw_mul(f, g, p.c, p.letter_bits)
+    product = kernel(f, g, p.c, p.letter_bits)
     assert (f, g) == before and product is not f and product is not g
+
+
+@KERNEL
+@given(st.data())
+def test_rows_cached_at_full_class_serve_a_lower_cutoff(data):
+    # commutator's hg product and its (hg)^-1 series run below the class on
+    # rows an element grouped for products at full class
+    p = data.draw(groups)
+    assume(p.c >= 2)
+    u, v = data.draw(words(p, 6)), data.draw(words(p, 6))
+    g, h = embed(u, p), embed(v, p)
+    multiply(h, g)
+    rows = g.rows
+    cutoff = data.draw(st.integers(1, p.c - 1))
+    bits = p.letter_bits
+    low = 1 << bits * (cutoff + 1)
+    h_low = {k: x for k, x in h.terms.items() if k < low}
+    g_low = {k: x for k, x in g.terms.items() if k < low}
+    hg = _raw_mul(h_low, rows, 1, cutoff, bits)
+    assert decode_terms(hg, p.m) == graded_product(
+        decode_terms(h_low, p.m), decode_terms(g_low, p.m), cutoff
+    )
+    n = data.draw(st.integers(-4, 4))
+    del g_low[1]
+    series = _series(g_low, rows, n, cutoff, bits)
+    assert decode_terms(series, p.m) == naive_embed(word_power(u, n), p.m, cutoff)
+    bracket = commutator(g, h)
+    assert tuple_terms(bracket) == naive_embed(commutator_word(u, v), p.m, p.c)
+
+
+@pytest.fixture
+def groupings(monkeypatch):
+    """The operands grouped into degree rows, in order."""
+    grouped, group = [], magnus._degree_rows
+
+    def counting(terms):
+        grouped.append(terms)
+        return group(terms)
+
+    monkeypatch.setattr(magnus, "_degree_rows", counting)
+    return grouped
+
+
+def test_each_right_operand_is_grouped_once(groupings):
+    p = Presentation(3, 4)
+    rng = random.Random(43)
+    g = embed(random_word(rng, p.m, 8, 8), p)
+    lefts = [embed(random_word(rng, p.m, 6, 1), p) for _ in range(5)]
+    groupings.clear()
+    for f in lefts:
+        multiply(f, g)
+    assert len(groupings) == 1 and groupings[0] is g.terms
+    # a power groups its base at most once, however many series products
+    # it takes, and a second power of the same base groups nothing
+    h = embed(random_word(rng, p.m, 8, 8), p)
+    groupings.clear()
+    power(h, 7)
+    power(h, -3)
+    assert len(groupings) == 1 and groupings[0] is h.terms
+    # a commutator of grouped operands groups only its fresh bracket and hg
+    groupings.clear()
+    commutator(g, h)
+    assert len(groupings) <= 2
+    assert all(t is not g.terms and t is not h.terms for t in groupings)
+
+
+def test_ball_groups_its_steps_and_little_else(groupings):
+    # every product in the ball multiplies by one of the 2m steps
+    p = Presentation(2, 3)
+    ball = enumerate_ball(p, [((0, 1),), ((1, 1),)], 4)
+    assert len(ball) > 100
+    assert len(groupings) <= 2 * p.m + 2
 
 
 @KERNEL

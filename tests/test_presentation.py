@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import nildist
+from oracles import witt_every_d
 from nildist import hall, magnus, presentation
 from nildist.errors import CapExceededError
 from nildist.magnus import embed, multiply
@@ -31,6 +32,13 @@ def test_witt_numbers():
     assert free_nilpotent_hirsch_length(3, 2) == 6
     assert free_nilpotent_hirsch_length(3, 3) == 14
     assert free_nilpotent_hirsch_length(2, 5) == 14
+
+
+def test_witt_numbers_match_the_sum_over_every_d():
+    # witt_number visits the divisors of k in pairs; the oracle tries every d
+    for m in range(1, 6):
+        for k in range(1, 61):
+            assert witt_number(m, k) == witt_every_d(m, k), (m, k)
 
 
 def test_default_names():
