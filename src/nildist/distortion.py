@@ -1,27 +1,46 @@
 """Empirical distortion measurement by breadth-first Cayley ball search.
 
-The ambient ball is grown layer by layer from the identity, deduplicating on
-the group elements themselves: the Magnus map is injective, so equal
-polynomials are equal elements.  Each frontier element h remembers every
-step s by which it was reached from the layer before, and is multiplied by
-every step except the inverses of those: h s^-1 is a parent, already seen.
-For the ambient generators every step flips the parity of the exponent sum,
-so the Cayley graph is bipartite and every edge out of layer n goes to
-layer n - 1 or n + 1.  So every product that is not skipped lands in layer
-n + 1, and each element of layer n >= 1 skips one of its 2m products for
-each of its parents: 1/(2m) of them while the ball is a tree, more once
-relations close cycles.  Over the three benchmark tables (F(2,2) to radius
-10, F(2,3) to 6, F(3,2) to 5) about a third of the products go, 18,474 ->
-12,602.  The skip drops only products that are already seen, so the
-elements, their lengths and their order are those of the plain search, and
-so is the point where max_elements stops it.  enumerate_ball returns word
-lengths keyed by group element.
+Both searches, the ambient ball and the subgroup lengths, walk Mal'cev
+coordinate tuples (hall.to_coordinates), which are unique per element, so
+the search deduplicates on the tuples.  A step by a fixed element s is a
+map x -> x s on tuples: coordinate i of x s minus x_i is an integer-valued
+polynomial in x of weighted degree at most w_i - 1, where x_k weighs the
+weight w_k of basis entry k.  That is Hall's bound for a Mal'cev basis
+through the lower central series (P. Hall, Nilpotent groups, Edmonton
+notes, 1957); the "Deep Thought" collection polynomials of Leedham-Green
+and Soicher (LMS J. Comput. Math. 1, 1998) are the same maps in general
+form.  hall.step_map interpolates one per step from the polynomial
+engine, by finite differences in the binomial basis on the points of
+weighted degree <= c - 1, and checks it against the engine at points off
+that set.  The 2m letter maps are derived on a presentation's first search
+and cached for as many presentations as the Hall bases are; the maps of a
+subgroup's own generators are derived once per search.  No step touches a
+polynomial.
+
+The ambient ball is grown layer by layer from the identity.  Each frontier
+element h remembers every step s by which it was reached from the layer
+before, and is multiplied by every step except the inverses of those:
+h s^-1 is a parent, already seen.  For the ambient generators every step
+flips the parity of the exponent sum, so the Cayley graph is bipartite and
+every edge out of layer n goes to layer n - 1 or n + 1.  So every product
+that is not skipped lands in layer n + 1, and each element of layer n >= 1
+skips one of its 2m products for each of its parents: 1/(2m) of them while
+the ball is a tree, more once relations close cycles.  Over the three
+benchmark tables (F(2,2) to radius 10, F(2,3) to 6, F(3,2) to 5) about a
+third of the products go, 18,474 -> 12,602.  The skip drops only products
+that are already seen, so the elements, their lengths and their order are
+those of the plain search, and so is the point where max_elements stops
+it.  enumerate_ball returns word lengths keyed by coordinate tuple.
 
 Delta(n) is the largest subgroup length among ball elements that lie in the
-subgroup; for a cyclic subgroup <u> the subgroup length of u^k is |k| exactly,
-otherwise a second search over the subgroup's own generators supplies the
-lengths.  When that second search hits a cap before resolving every member,
-the affected table rows are reported as lower bounds and flagged.
+subgroup.  An element's weight-1 coordinates are its exponent sums, so one
+outside the subgroup's abelianization is rejected on its tuple; the rest
+become elements for subgroups.member.  For a cyclic subgroup <u> the
+subgroup length of u^k is |k| exactly, read off the first nonzero
+coordinate; otherwise a second search over the subgroup's own generators
+supplies the lengths.  When that second search hits a cap before resolving
+every member, the affected table rows are reported as lower bounds and
+flagged.
 """
 
 from __future__ import annotations
@@ -30,9 +49,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .magnus import embed, identity, inverse, multiply
+from .hall import apply_step, from_coordinates, letter_steps, step_map
+from .magnus import embed, inverse
 from .presentation import Presentation
-from .subgroups import _lead, induced_basis, member
+from .subgroups import induced_basis, member
 
 DEFAULT_MAX_ELEMENTS = 5 * 10**6
 
@@ -47,40 +67,56 @@ class BallIndex:
         return len(self.lengths)
 
 
-def _bfs(presentation, gens, radius, max_elements):
-    """Yield (element, word length) over gens and their inverses, breadth
-    first, out to the given radius.  Raises CapExceededError rather than
-    visit more than max_elements elements."""
-    steps = []
+def _step_maps(presentation, gens):
+    """The step maps of gens and their inverses, (g, g^-1) pairs with the
+    identity and repeats left out; a letter reads the cached letter maps."""
+    steps, maps = [], []
     for word in gens:
-        g = embed(tuple(word), presentation)
-        if not g.is_identity() and g not in steps:
-            steps += [g, inverse(g)]
-    # the list stays closed under inverses, so it holds (g, g^-1) pairs and
-    # step t ^ 1 undoes step t
-    start = identity(presentation)
+        word = tuple(word)
+        g = embed(word, presentation)
+        if g.is_identity() or g in steps:
+            continue
+        g_inv = inverse(g)
+        steps += [g, g_inv]
+        if len(word) == 1:
+            i, sign = word[0]
+            letters = letter_steps(presentation)[2 * i : 2 * i + 2]
+            maps += letters if sign > 0 else letters[::-1]
+        else:
+            maps += [step_map(g), step_map(g_inv)]
+    return maps
+
+
+def _bfs(presentation, gens, radius, max_elements):
+    """Yield (coordinates, word length) over gens and their inverses,
+    breadth first, out to the given radius.  Raises CapExceededError rather
+    than visit more than max_elements elements."""
+    steps = _step_maps(presentation, gens)
+    # the list holds (g, g^-1) pairs, so step t ^ 1 undoes step t
+    start = (0,) * presentation.hirsch_length
     seen = {start}
     yield start, 0
-    # each frontier element maps to the steps that lead back to a parent
-    frontier = {start: set()}
+    # each frontier element maps to a bit mask of the steps that lead back
+    # to a parent
+    frontier = {start: 0}
     for layer in range(1, radius + 1):
         new: dict = {}
-        for g, parents in frontier.items():
-            for t, s in enumerate(steps):
-                if t in parents:
+        for x, parents in frontier.items():
+            for t, step in enumerate(steps):
+                if parents >> t & 1:
                     continue
-                h = multiply(g, s)
-                arrived = new.get(h)
+                y = apply_step(x, step)
+                arrived = new.get(y)
                 if arrived is not None:
-                    arrived.add(t ^ 1)
-                elif h not in seen:
+                    new[y] = arrived | 1 << (t ^ 1)
+                elif y not in seen:
                     if len(seen) >= max_elements:
                         raise CapExceededError(
                             f"ball exceeded {max_elements} elements at radius {layer}"
                         )
-                    seen.add(h)
-                    new[h] = {t ^ 1}
-                    yield h, layer
+                    seen.add(y)
+                    new[y] = 1 << (t ^ 1)
+                    yield y, layer
         if not new:
             return
         frontier = new
@@ -93,7 +129,8 @@ def enumerate_ball(
     *,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> BallIndex:
-    """All elements within the given word length of the identity."""
+    """All elements within the given word length of the identity, as word
+    lengths keyed by Mal'cev coordinate tuple."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if not gens:
@@ -138,9 +175,9 @@ def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap):
     """
     found = {}
     try:
-        for g, length in _bfs(presentation, gens, radius_cap, max_elements):
-            if g in targets:
-                found[g] = length
+        for x, length in _bfs(presentation, gens, radius_cap, max_elements):
+            if x in targets:
+                found[x] = length
                 if len(found) == len(targets):
                     break
     except CapExceededError:
@@ -162,16 +199,26 @@ def measure_distortion(
     )
     basis = induced_basis(gens, presentation)
 
-    members = {g: flen for g, flen in ball.lengths.items() if member(basis, g)}
+    # the weight-1 coordinates are the exponent sums: those outside H's
+    # abelianization reject at once, solved once per sum vector, and only
+    # the rest become elements
+    m, lattice = presentation.m, basis.abelianization
+    in_lattice = {}
+    members = {}
+    for x, flen in ball.lengths.items():
+        sums = x[:m]
+        if sums not in in_lattice:
+            in_lattice[sums] = not any(sums) or lattice.solve(sums) is not None
+        if in_lattice[sums] and member(basis, from_coordinates(x, presentation)):
+            members[x] = flen
 
     if len(basis) == 1:
         # members are the powers entry.element^k; for k != 0 the first
         # nonzero coordinate is k * a, at the entry's pivot
         a = basis.entries[0].value
-        hlengths = {}
-        for g in members:
-            lead = _lead(g)
-            hlengths[g] = 0 if lead is None else abs(lead[1]) // a
+        hlengths = {
+            x: abs(next((e for e in x if e), 0)) // a for x in members
+        }
     elif len(basis) == 0:
         hlengths = dict.fromkeys(members, 0)
     else:
@@ -187,10 +234,10 @@ def measure_distortion(
     for n in range(1, radius + 1):
         delta = 0
         exact = True
-        for g, flen in members.items():
+        for x, flen in members.items():
             if flen > n:
                 continue
-            hl = hlengths.get(g)
+            hl = hlengths.get(x)
             if hl is None:
                 exact = False
             elif hl > delta:

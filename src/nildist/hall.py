@@ -27,21 +27,32 @@ coordinate tuple.  The two directions:
     so a block is read from the terms at those keys.  An element of weight w
     has zero coordinates below block w, so its first nonzero coordinate
     takes one solve, at block w.
+
+Right multiplication by a fixed element s is a polynomial map on coordinate
+tuples (step_map): coordinate i of x s minus x_i has weighted degree at most
+w_i - 1 when x_k weighs the weight of entry k.  Its coefficients in the
+binomial basis prod C(x_k, n_k) are finite differences of the engine's
+values on the staircase of exponent vectors of weighted degree <= c - 1:
+3, 7 and 4 points for F(2,2), F(2,3) and F(3,2), 31 for F(5,3), 127 for
+F(2,7).  apply_step evaluates the map from its coefficient table.
+letter_steps keeps the 2m letter maps of a presentation; they are derived
+on first use, never while the Hall basis is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .intmat import RepeatedSolver
 from .magnus import (
     GroupElement,
+    _product,
     commutator,
     degree_keys,
     embed,
-    identity,
     key_product,
     monomial_key,
     multiply,
@@ -216,11 +227,13 @@ def from_coordinates(coords, presentation: Presentation) -> GroupElement:
         raise ValueError(
             f"expected {len(basis)} coordinates, got {len(coords)}"
         )
-    g = identity(presentation)
-    for i, e in enumerate(coords):
-        if e:
-            g = multiply(g, power(basis.element(i), e))
-    return g
+    # a first power of a basis entry is the entry, whose rows are grouped
+    powers = (
+        basis.element(i) if e == 1 else power(basis.element(i), e)
+        for i, e in enumerate(coords)
+        if e
+    )
+    return _product(powers, presentation)
 
 
 def normal_form_str(coords, presentation: Presentation) -> str:
@@ -246,3 +259,148 @@ def normal_form_str(coords, presentation: Presentation) -> str:
                 body = basis.bracket_str(i)
             parts.append(body if e == 1 else f"{body}^{e}")
     return " ".join(parts) or "1"
+
+
+# ------------------------------------------------------------------ step maps
+
+
+class StepMap(NamedTuple):
+    """x -> x s on coordinate tuples, for one fixed step s.
+
+    values starts as [1, x_1, ..., x_L] and each (base, k, j) of monomials
+    appends values[base] * C(x_k, j), so every value is a product of
+    binomials C(x_k, n_k).  Coordinate i of x s is x_i plus coeff *
+    values[t] summed over the (coeff, t) in i's row; coordinates without a
+    row keep x_i."""
+
+    monomials: tuple[tuple[int, int, int], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def _binomial(x: int, j: int) -> int:
+    # C(x, j) for any integer x: r * (x - i) is (i + 1) C(x, i + 1)
+    r = 1
+    for i in range(j):
+        r = r * (x - i) // (i + 1)
+    return r
+
+
+def apply_step(x: MalcevCoords, step: StepMap) -> MalcevCoords:
+    """The coordinates of x s, for step = step_map(s)."""
+    monomials, rows = step
+    values = [1, *x]
+    for base, k, j in monomials:
+        values.append(values[base] * (x[k] if j == 1 else _binomial(x[k], j)))
+    y = list(x)
+    for i, terms in rows:
+        for coeff, t in terms:
+            y[i] += coeff * values[t]
+    return tuple(y)
+
+
+def _staircase(presentation: Presentation) -> list[tuple[int, ...]]:
+    """The exponent vectors n over the coordinates of weight below c with
+    sum n_k w_k <= c - 1, by that weighted degree and then lexicographically:
+    lowering an entry of n gives a point that comes earlier."""
+    top = presentation.c - 1
+    weights = [e.weight for e in hall_basis(presentation).entries if e.weight <= top]
+    points = [(0, ())]  # (weighted degree, n)
+    for w in weights:
+        points = [
+            (d + j * w, n + (j,)) for d, n in points for j in range((top - d) // w + 1)
+        ]
+    return [n for _, n in sorted(points)]
+
+
+def _differences(points: list, values: list) -> list:
+    """The binomial-basis coefficients of the polynomial map taking
+    values[t] at points[t]: a[n] = (Delta^n f)(0), by forward differences
+    along one variable at a time.  Lowering an entry of a point gives
+    another point, so every difference reads inside the set."""
+    at = {n: t for t, n in enumerate(points)}
+    table = [list(v) for v in values]
+    for k in range(len(points[0])):
+        for level in range(1, max(n[k] for n in points) + 1):
+            # highest n_k first, so n - e_k still holds the last level
+            raised = sorted((n for n in points if n[k] >= level), key=lambda n: -n[k])
+            for n in raised:
+                lower = table[at[n[:k] + (n[k] - 1,) + n[k + 1 :]]]
+                row = table[at[n]]
+                for i, v in enumerate(lower):
+                    row[i] -= v
+    return table
+
+
+# points off the staircase, cycled to the coordinate count.  C(x, j) is
+# nonzero for every j at x < 0, so at the all-negative point every monomial
+# is, and any one wrong coefficient shows there.
+_CHECK_PATTERNS = ((-2, -1, -3), (1, -2, 3), (-3, 1, -1, 2))
+
+
+def _engine_step(x, s: GroupElement) -> MalcevCoords:
+    return to_coordinates(multiply(from_coordinates(x, s.presentation), s))
+
+
+def step_map(s: GroupElement) -> StepMap:
+    """The map x -> x s on Mal'cev coordinates, interpolated from the engine.
+
+    Coordinate i of x s minus x_i is an integer-valued polynomial in x of
+    weighted degree at most w_i - 1, where x_k weighs w_k, the weight of
+    basis entry k (Hall's bound for a basis through the lower central
+    series).  So it depends only on the coordinates of weight below c, and
+    its coefficients in the binomial basis prod C(x_k, n_k) are the finite
+    differences on the staircase of points of weighted degree <= c - 1, one
+    engine product per point.  The map is then checked against the engine
+    at fixed points off the staircase."""
+    p = s.presentation
+    length = len(hall_basis(p))
+    points = _staircase(p)
+    values = []
+    for n in points:
+        x = n + (0,) * (length - len(n))
+        values.append([b - a for a, b in zip(x, _engine_step(x, s))])
+    table = _differences(points, values)
+
+    # values[0] is 1 and values[1 + k] is x_k; any other monomial a row
+    # reads is built from its base, n with its last nonzero entry n_k zeroed,
+    # times C(x_k, n_k)
+    at = {n: t for t, n in enumerate(points)}
+    slots = {0: 0}
+    monomials = []
+
+    def place(t):
+        if t not in slots:
+            n = points[t]
+            k = max(k for k, j in enumerate(n) if j)
+            base = place(at[n[:k] + (0,) * (len(n) - k)])
+            if base == 0 and n[k] == 1:
+                slots[t] = 1 + k
+            else:
+                slots[t] = 1 + length + len(monomials)
+                monomials.append((base, k, n[k]))
+        return slots[t]
+
+    rows = []
+    for i in range(length):
+        terms = tuple((row[i], place(t)) for t, row in enumerate(table) if row[i])
+        if terms:
+            rows.append((i, terms))
+    step = StepMap(tuple(monomials), tuple(rows))
+
+    for pattern in _CHECK_PATTERNS:
+        x = tuple(pattern[k % len(pattern)] for k in range(length))
+        if apply_step(x, step) != _engine_step(x, s):
+            raise InternalInconsistencyError(
+                "interpolated step map disagrees with the engine"
+            )
+    return step
+
+
+@lru_cache(maxsize=CACHED_PRESENTATIONS)
+def letter_steps(presentation: Presentation) -> tuple[StepMap, ...]:
+    """The step maps of a_1, a_1^-1, ..., a_m, a_m^-1, in that order."""
+    return tuple(
+        step_map(embed(((i, sign),), presentation))
+        for i in range(presentation.m)
+        for sign in (1, -1)
+    )

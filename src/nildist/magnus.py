@@ -182,7 +182,8 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.presentation == other.presentation and self.terms == other.terms
+        p, q = self.presentation, other.presentation
+        return (p is q or p == q) and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:

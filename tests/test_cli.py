@@ -364,3 +364,11 @@ def test_analyze_json_leaves_no_reference_cycles(capsys):
         gc.garbage.clear()
     capsys.readouterr()
     assert unreachable == 0
+
+
+def test_large_ambient_ball_fits_in_256_mb():
+    # 350,591 elements; stored as polynomials they ran out of memory here
+    result = run_limited("measure", "-m", "3", "-c", "2", "--radius", "9", "a")
+    assert result.returncode == 0, result.stderr
+    rows = "".join(f"{n},{n},true\n" for n in range(1, 10))
+    assert (result.stdout, result.stderr) == ("n,delta,exact\n" + rows, "")

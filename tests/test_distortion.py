@@ -25,6 +25,7 @@ from nildist.distortion import (
     measure_distortion,
 )
 from nildist.errors import CapExceededError
+from nildist.hall import apply_step, to_coordinates
 from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
 from nildist.words import parse_word
@@ -82,7 +83,7 @@ def test_ball_matches_independent_search():
 def test_ball_matches_element_oracle():
     for p, radius in ((Presentation(2, 3), 4), (Presentation(3, 2), 3)):
         ball = enumerate_ball(p, ambient(p), radius)
-        assert list(ball.lengths.items()) == list(element_ball(p, radius).items())
+        assert list(ball.lengths.items()) == coordinate_items(element_ball(p, radius))
 
 
 @st.composite
@@ -93,6 +94,11 @@ def word_searches(draw):
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     word = st.lists(letter, max_size=4).map(tuple)
     return p, draw(st.lists(word, min_size=1, max_size=2)), draw(st.integers(1, 4))
+
+
+def coordinate_items(lengths):
+    """A ball keyed by group element, as (coordinates, length) pairs."""
+    return [(to_coordinates(g), length) for g, length in lengths.items()]
 
 
 def _search(items):
@@ -112,7 +118,7 @@ def test_bfs_matches_the_plain_search(case):
     # the same items in the same order; with room for one element past the
     # ball of radius r - 1, the same items before the same cap error
     p, gens, radius = case
-    full = list(word_ball(p, gens, radius).items())
+    full = coordinate_items(word_ball(p, gens, radius))
     assert _search(_bfs(p, gens, radius, len(full))) == (full, None)
     cap = len(word_ball(p, gens, radius - 1)) + 1
     try:
@@ -128,12 +134,12 @@ def test_ambient_products_only_step_outward(monkeypatch):
     # parent are skipped every product lands one layer further out
     products = []
 
-    def recording(g, h):
-        product = multiply(g, h)
-        products.append((g, product))
+    def recording(x, step):
+        product = apply_step(x, step)
+        products.append((x, product))
         return product
 
-    monkeypatch.setattr(distortion, "multiply", recording)
+    monkeypatch.setattr(distortion, "apply_step", recording)
     p = Presentation(2, 3)
     ball = enumerate_ball(p, ambient(p), 5)
     assert len(products) >= len(ball) - 1
@@ -152,9 +158,9 @@ def test_ball_lengths_satisfy_triangle_inequality():
     ]
     for g in inside:
         for h in inside:
-            lg = ball.lengths.get(g)
-            lh = ball.lengths.get(h)
-            lgh = ball.lengths.get(multiply(g, h))
+            lg = ball.lengths.get(to_coordinates(g))
+            lh = ball.lengths.get(to_coordinates(h))
+            lgh = ball.lengths.get(to_coordinates(multiply(g, h)))
             if lg is not None and lh is not None and lgh is not None:
                 assert lgh <= lg + lh
 

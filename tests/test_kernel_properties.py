@@ -23,7 +23,7 @@ from oracles import (
 from nildist import magnus
 from nildist.distortion import enumerate_ball
 from nildist.errors import InternalInconsistencyError
-from nildist.hall import to_coordinates
+from nildist.hall import letter_steps, to_coordinates
 from nildist.magnus import (
     GroupElement,
     _degree_rows,
@@ -194,8 +194,11 @@ def test_each_right_operand_is_grouped_once(groupings):
 
 
 def test_ball_groups_its_steps_and_little_else(groupings):
-    # every product in the ball multiplies by one of the 2m steps
+    # the ball steps on coordinates; only deriving the letter maps, cached
+    # per presentation, takes products
     p = Presentation(2, 3)
+    letter_steps(p)
+    groupings.clear()
     ball = enumerate_ball(p, [((0, 1),), ((1, 1),)], 4)
     assert len(ball) > 100
     assert len(groupings) <= 2 * p.m + 2

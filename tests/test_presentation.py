@@ -93,18 +93,21 @@ def test_presentation_caches_are_bounded():
     ]
     for q in made:
         hall.hall_basis(q)
+        hall.letter_steps(q)
         embed(((0, 1), (0, -1)), q)
         assert q.index_of(q.names[0]) == 0
     for cache in (
         presentation._intern,
         presentation._name_table,
         hall.hall_basis,
+        hall.letter_steps,
         magnus._letter_image,
     ):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert presentation._intern.cache_info().currsize == CACHED_PRESENTATIONS
     assert hall.hall_basis.cache_info().currsize == CACHED_PRESENTATIONS
+    assert hall.letter_steps.cache_info().currsize == CACHED_PRESENTATIONS
     again = Presentation(2, 3, names=("s", "t"))
     assert again is not p and again == p and hash(again) == hash(p)
     # reading the Hirsch length on one side only leaves them equal
