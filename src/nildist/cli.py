@@ -85,7 +85,7 @@ def build_parser() -> _ArgumentParser:
         "--max-elements",
         type=int,
         default=DEFAULT_MAX_ELEMENTS,
-        help="cap on enumerated ball elements",
+        help=f"cap on enumerated ball elements (default {DEFAULT_MAX_ELEMENTS:,})",
     )
     return parser
 

@@ -28,13 +28,15 @@ coordinate tuple.  The two directions:
     has zero coordinates below block w, so its first nonzero coordinate
     takes one solve, at block w.
 
-Right multiplication by a fixed element s is a polynomial map on coordinate
-tuples (step_map): coordinate i of x s minus x_i has weighted degree at most
-w_i - 1 when x_k weighs the weight of entry k.  Its coefficients in the
-binomial basis prod C(x_k, n_k) are finite differences of the engine's
-values on the staircase of exponent vectors of weighted degree <= c - 1:
-3, 7 and 4 points for F(2,2), F(2,3) and F(3,2), 31 for F(5,3), 127 for
-F(2,7).  apply_step evaluates the map from its coefficient table.
+Right multiplication by a fixed element s of weight w is a polynomial map
+on coordinate tuples (step_map): coordinate i of x s minus x_i has weighted
+degree at most w_i - w when x_k weighs the weight of entry k.  Its
+coefficients in the binomial basis prod C(x_k, n_k) are finite differences
+of the engine's values on the staircase of exponent vectors of weighted
+degree <= c - w.  For a letter that is 3, 7 and 4 points for F(2,2), F(2,3)
+and F(3,2), 31 for F(5,3), 127 for F(2,7); a heavier step takes fewer, 3
+for [a,b] in F(2,3) and 31 for [a,[b,a]] in F(2,7), and a central one
+takes 1.  apply_step evaluates the map from its coefficient table.
 letter_steps keeps the 2m letter maps of a presentation; they are derived
 on first use, never while the Hall basis is built.
 """
@@ -298,11 +300,10 @@ def apply_step(x: MalcevCoords, step: StepMap) -> MalcevCoords:
     return tuple(y)
 
 
-def _staircase(presentation: Presentation) -> list[tuple[int, ...]]:
-    """The exponent vectors n over the coordinates of weight below c with
-    sum n_k w_k <= c - 1, by that weighted degree and then lexicographically:
+def _staircase(presentation: Presentation, top: int) -> list[tuple[int, ...]]:
+    """The exponent vectors n over the coordinates of weight <= top with
+    sum n_k w_k <= top, by that weighted degree and then lexicographically:
     lowering an entry of n gives a point that comes earlier."""
-    top = presentation.c - 1
     weights = [e.weight for e in hall_basis(presentation).entries if e.weight <= top]
     points = [(0, ())]  # (weighted degree, n)
     for w in weights:
@@ -344,17 +345,19 @@ def _engine_step(x, s: GroupElement) -> MalcevCoords:
 def step_map(s: GroupElement) -> StepMap:
     """The map x -> x s on Mal'cev coordinates, interpolated from the engine.
 
-    Coordinate i of x s minus x_i is an integer-valued polynomial in x of
-    weighted degree at most w_i - 1, where x_k weighs w_k, the weight of
-    basis entry k (Hall's bound for a basis through the lower central
-    series).  So it depends only on the coordinates of weight below c, and
-    its coefficients in the binomial basis prod C(x_k, n_k) are the finite
-    differences on the staircase of points of weighted degree <= c - 1, one
-    engine product per point.  The map is then checked against the engine
-    at fixed points off the staircase."""
+    For s of weight w, coordinate i of x s minus x_i is an integer-valued
+    polynomial in x of weighted degree at most w_i - w, where x_k weighs
+    w_k, the weight of basis entry k: Hall's bound w_i for a basis through
+    the lower central series, less the weight of the coordinate of s that
+    every term of the difference carries.  So it reads only the coordinates
+    of weight <= c - w, and its coefficients in the binomial basis
+    prod C(x_k, n_k) are the finite differences on the staircase of points
+    of weighted degree <= c - w, one engine product per point.  The map is
+    then checked against the engine at fixed points off the staircase.  s
+    must not be the identity."""
     p = s.presentation
     length = len(hall_basis(p))
-    points = _staircase(p)
+    points = _staircase(p, p.c - s.weight())
     values = []
     for n in points:
         x = n + (0,) * (length - len(n))

@@ -4,7 +4,8 @@ The ambient group is the free nilpotent group of rank m and class c.  Its
 Hirsch length is the sum of the Witt numbers W(m, k) for k = 1..c, and a
 hard cap on that length (default 60) keeps every downstream structure at a
 size where exact integer arithmetic stays cheap.  Exceeding the cap is a
-configuration error, never a silent truncation.
+configuration error, never a silent truncation; the sum stops at the first
+k that passes the cap, so a huge class is refused at once.
 
 Equal presentations are one object: Presentation(...) returns the
 equal instance it made before, if that is still among the last
@@ -62,10 +63,6 @@ def witt_number(m: int, k: int) -> int:
     return total // k
 
 
-def free_nilpotent_hirsch_length(m: int, c: int) -> int:
-    return sum(witt_number(m, k) for k in range(1, c + 1))
-
-
 class _Interned(type):
     def __call__(cls, *args, **kwargs):
         return _intern(super().__call__(*args, **kwargs))
@@ -103,12 +100,16 @@ class Presentation(metaclass=_Interned):
             raise ValueError("need exactly one name per generator")
         if len(set(self.names)) != self.m:
             raise ValueError("generator names must be distinct")
-        length = free_nilpotent_hirsch_length(self.m, self.c)
-        if length > self.max_hirsch:
-            raise CapExceededError(
-                f"Hirsch length {length} for rank {self.m}, class {self.c} "
-                f"exceeds the cap {self.max_hirsch}"
-            )
+        # sum the Witt numbers only while the sum is inside the cap: the
+        # full sum for a huge class has thousands of digits
+        length = 0
+        for k in range(1, self.c + 1):
+            length += witt_number(self.m, k)
+            if length > self.max_hirsch:
+                raise CapExceededError(
+                    f"Hirsch length for rank {self.m}, class {self.c} "
+                    f"exceeds the cap {self.max_hirsch}"
+                )
         # set here, not on first read, so equal presentations have equal vars()
         object.__setattr__(self, "hirsch_length", length)
         # bits per letter in a monomial's integer key (see magnus)

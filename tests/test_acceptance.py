@@ -21,7 +21,7 @@ from oracles import (
 from nildist.distortion import estimate_exponent, measure_distortion
 from nildist.hall import from_coordinates, hall_basis, to_coordinates
 from nildist.magnus import commutator, embed, identity, multiply, power
-from nildist.presentation import Presentation, free_nilpotent_hirsch_length
+from nildist.presentation import Presentation
 from nildist.subgroups import (
     abelianized_basis,
     build_retraction,
@@ -294,7 +294,7 @@ def test_criterion_7_round_trip_and_homomorphism():
         gens = [random_word(rng, p.m, 3, min_len=1) for _ in range(k)]
         if bareiss_rank([exponent_vector(w, p.m) for w in gens]) != k:
             continue
-        if len(induced_basis(gens, p)) != free_nilpotent_hirsch_length(k, p.c):
+        if len(induced_basis(gens, p)) != Presentation(k, p.c).hirsch_length:
             hirsch_failures += 1
         done += 1
 

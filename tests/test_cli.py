@@ -231,6 +231,17 @@ def test_cap_exceeded_exits_2(capsys):
     code, _, err = run(capsys, "nf", "-m", "2", "-c", "2", "--max-hirsch", "2", "a")
     assert code == 2
 
+    # the Witt sum stops at the cap, so a huge class is refused at once
+    start = time.perf_counter()
+    result = run(capsys, "nf", "-m", "2", "-c", "100000", "a")
+    assert time.perf_counter() - start < 1
+    assert result == (
+        2,
+        "",
+        "nildist: cap exceeded: Hirsch length for rank 2, class 100000 "
+        "exceeds the cap 60\n",
+    )
+
 
 def test_bad_presentation_exits_1(capsys):
     code, _, err = run(capsys, "nf", "-m", "0", "-c", "2", "a")
@@ -372,3 +383,13 @@ def test_large_ambient_ball_fits_in_256_mb():
     assert result.returncode == 0, result.stderr
     rows = "".join(f"{n},{n},true\n" for n in range(1, 10))
     assert (result.stdout, result.stderr) == ("n,delta,exact\n" + rows, "")
+
+
+def test_a_ball_past_the_default_cap_exits_2_in_256_mb():
+    # the radius-10 ball of F(3,2) has more than 400,000 elements
+    result = run_limited("measure", "-m", "3", "-c", "2", "--radius", "10", "a")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2,
+        "",
+        "nildist: cap exceeded: ball exceeded 400000 elements at radius 10\n",
+    )

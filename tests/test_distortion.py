@@ -20,14 +20,17 @@ from nildist.distortion import (
     DistortionRow,
     DistortionTable,
     _bfs,
+    _sift,
+    _step_cache,
     enumerate_ball,
     estimate_exponent,
     measure_distortion,
 )
 from nildist.errors import CapExceededError
-from nildist.hall import apply_step, to_coordinates
+from nildist.hall import apply_step, from_coordinates, hall_basis, to_coordinates
 from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
+from nildist.subgroups import induced_basis, member
 from nildist.words import parse_word
 
 P11 = Presentation(1, 1)
@@ -184,6 +187,47 @@ def test_ball_input_validation():
     assert len(enumerate_ball(P22, ambient(P22), 2, max_elements=17)) == 17
     with pytest.raises(CapExceededError):
         enumerate_ball(P22, ambient(P22), 2, max_elements=16)
+
+
+# subgroups whose slots have pivot values above 1
+PIVOTED = (("a^2", "[a,b]^3"), ("a^2 b^4", "[a,b]^2"), ("b^3", "[b,a]^2 a^6"))
+
+
+@st.composite
+def sift_cases(draw):
+    """A subgroup of F(2,2), F(2,3), F(3,2) or F(2,4), from PIVOTED or of
+    1-3 random words, and a tuple: an element of H, that element with one
+    coordinate moved by +-1, or a random tuple, negative entries included."""
+    m, c = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4))))
+    p = Presentation(m, c)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        gens = [parse_word(w, p) for w in draw(st.sampled_from(PIVOTED))]
+    else:
+        gens = [random_word(rng, m, 5, min_len=1) for _ in range(rng.randint(1, 3))]
+    kind = draw(st.sampled_from(("member", "moved", "random")))
+    if kind == "random":
+        x = tuple(rng.randint(-9, 9) for _ in range(p.hirsch_length))
+    else:
+        word = []
+        for _ in range(rng.randint(0, 4)):
+            g = rng.choice(gens)
+            word += g if rng.random() < 0.5 else [(i, -e) for i, e in g[::-1]]
+        x = list(to_coordinates(embed(tuple(word), p)))
+        if kind == "moved":
+            x[rng.randrange(len(x))] += rng.choice((-1, 1))
+        x = tuple(x)
+    return p, gens, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(sift_cases())
+def test_sift_agrees_with_member(case):
+    p, gens, x = case
+    basis = induced_basis(gens, p)
+    expected = member(basis, from_coordinates(x, p))
+    half = hall_basis(p).block(p.c // 2 + 1).start
+    assert _sift(x, basis, _step_cache(p), {}, half) == expected
 
 
 def test_measure_central_cyclic_subgroup():

@@ -11,7 +11,6 @@ from nildist.magnus import embed, multiply
 from nildist.presentation import (
     CACHED_PRESENTATIONS,
     Presentation,
-    free_nilpotent_hirsch_length,
     mobius,
     witt_number,
 )
@@ -26,12 +25,12 @@ def test_witt_numbers():
     assert witt_number(3, 2) == 3
     assert witt_number(3, 3) == 8
     # total count over weights is the dimension of the ambient coordinate space
-    assert free_nilpotent_hirsch_length(2, 2) == 3
-    assert free_nilpotent_hirsch_length(2, 3) == 5
-    assert free_nilpotent_hirsch_length(2, 4) == 8
-    assert free_nilpotent_hirsch_length(3, 2) == 6
-    assert free_nilpotent_hirsch_length(3, 3) == 14
-    assert free_nilpotent_hirsch_length(2, 5) == 14
+    assert Presentation(2, 2).hirsch_length == 3
+    assert Presentation(2, 3).hirsch_length == 5
+    assert Presentation(2, 4).hirsch_length == 8
+    assert Presentation(3, 2).hirsch_length == 6
+    assert Presentation(3, 3).hirsch_length == 14
+    assert Presentation(2, 5).hirsch_length == 14
 
 
 def test_witt_numbers_match_the_sum_over_every_d():
@@ -125,7 +124,7 @@ def test_invalid_sizes():
 def test_hirsch_cap():
     with pytest.raises(CapExceededError) as exc:
         Presentation(3, 9)
-    assert "3502" in str(exc.value)
+    assert str(exc.value) == "Hirsch length for rank 3, class 9 exceeds the cap 60"
     # raising the cap admits the same presentation
     p = Presentation(2, 5, max_hirsch=14)
     assert p.hirsch_length == 14

@@ -57,18 +57,72 @@ def test_letter_maps_are_the_heisenberg_law():
 
 
 def test_rows_respect_the_weight_bound():
-    # coordinate i moves by a polynomial of weighted degree <= w_i - 1
+    # for a step s of weight w, coordinate i moves by a polynomial of
+    # weighted degree <= w_i - w
     p = Presentation(3, 3)
     basis = hall_basis(p)
     weights = [e.weight for e in basis.entries]
-    s = embed(parse_word("a b^-2 [a,c] b", p), p)
-    step = step_map(s)
-    # values[0] is 1, values[1 + k] is x_k, then the built monomials
-    degree = [0, *weights]
-    for base, k, j in step.monomials:
-        degree.append(degree[base] + j * weights[k])
-    for i, terms in step.rows:
-        assert max(degree[t] for _, t in terms) <= weights[i] - 1
+    for word in ("a b^-2 [a,c] b", "[a,c] [b,a]^2 [[a,b],c]", "[[a,b],c]^-3"):
+        s = embed(parse_word(word, p), p)
+        step = step_map(s)
+        # values[0] is 1, values[1 + k] is x_k, then the built monomials
+        degree = [0, *weights]
+        for base, k, j in step.monomials:
+            degree.append(degree[base] + j * weights[k])
+        assert step.rows
+        for i, terms in step.rows:
+            assert max(degree[t] for _, t in terms) <= weights[i] - s.weight()
+
+
+def step_of_weight(rng, p, w):
+    """A random element of weight exactly w: a product of powers of the
+    basis entries of weight >= w, one of weight w raised to a nonzero power."""
+    basis = hall_basis(p)
+    x = [rng.randint(-3, 3) if e.weight >= w else 0 for e in basis.entries]
+    x[rng.choice(basis.block(w))] = rng.choice((-2, -1, 1, 2, 3))
+    return from_coordinates(tuple(x), p)
+
+
+@pytest.mark.parametrize("m, c", [(2, 4), (3, 3), (5, 3)])
+def test_steps_of_every_weight_match_the_engine(m, c):
+    p = Presentation(m, c)
+    rng = random.Random(f"weighted steps {m} {c}")
+    basis = hall_basis(p)
+    length = len(basis)
+    for w in range(1, c + 1):
+        steps = [basis.element(basis.block(w)[0])]
+        steps += [step_of_weight(rng, p, w) for _ in range(2)]
+        for s in steps:
+            assert s.weight() == w
+            step = step_map(s)
+            for _ in range(3):
+                x = tuple(rng.randint(-20, 20) for _ in range(length))
+                assert apply_step(x, step) == engine(x, s)
+
+
+@pytest.mark.parametrize(
+    "m, c, word, points",
+    [
+        (2, 3, "a", 7),
+        (2, 3, "[a,b]", 3),
+        (2, 3, "[[a,b],a]", 1),
+        (5, 3, "[a,b]", 6),
+        (3, 4, "[a,b]", 13),
+    ],
+)
+def test_a_heavier_step_reads_a_smaller_staircase(monkeypatch, m, c, word, points):
+    # one engine product per staircase point, then one per check point
+    p = Presentation(m, c)
+    s = embed(parse_word(word, p), p)
+    calls = []
+
+    def counting(x, s):
+        calls.append(x)
+        return engine(x, s)
+
+    monkeypatch.setattr(hall, "_engine_step", counting)
+    step_map(s)
+    assert len(calls) == points + len(hall._CHECK_PATTERNS)
 
 
 @pytest.mark.parametrize("m, c", [(2, 3), (3, 3)])
@@ -104,8 +158,8 @@ def test_hall_basis_set_up_derives_no_step_map(monkeypatch):
 
 
 def test_measure_derives_the_subgroup_maps_once(monkeypatch):
-    p = Presentation(2, 3)
-    letter_steps(p)
+    # the subgroup search and the sift read one cache per call, which holds
+    # the letter maps from the start, so no element's map is derived twice
     derived = []
 
     def counting(s):
@@ -113,7 +167,13 @@ def test_measure_derives_the_subgroup_maps_once(monkeypatch):
         return step_map(s)
 
     monkeypatch.setattr(distortion, "step_map", counting)
-    words = [parse_word(w, p) for w in ("a", "[a,b]")]
-    distortion.measure_distortion(words, p, 4)
-    # [a,b] and its inverse; the letter a reads the cached letter maps
-    assert len(derived) == 2
+    cases = ((2, 3, ("a", "[a,b]")), (3, 2, ("[a,b]", "c")), (2, 3, ("a^2", "[a,b]^3")))
+    for m, c, words in cases:
+        p = Presentation(m, c)
+        letters = {embed(((i, sign),), p) for i in range(m) for sign in (1, -1)}
+        letter_steps(p)
+        derived.clear()
+        distortion.measure_distortion([parse_word(w, p) for w in words], p, 4)
+        assert derived
+        assert len(set(derived)) == len(derived)
+        assert not letters & set(derived)

@@ -15,7 +15,7 @@ from nildist import distortion, subgroups
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
 from nildist.magnus import embed, identity, inverse, multiply
-from nildist.presentation import Presentation, free_nilpotent_hirsch_length
+from nildist.presentation import Presentation
 from nildist.subgroups import (
     abelianized_basis,
     build_retraction,
@@ -309,7 +309,7 @@ def test_hirsch_length_examples():
     assert len(induced_basis(words(P22, "a", "b"), P22)) == 3
     assert len(induced_basis(words(P22, "a"), P22)) == 1
     assert len(induced_basis(words(P23, "a", "b"), P23)) == 5
-    assert free_nilpotent_hirsch_length(2, 3) == 5
+    assert Presentation(2, 3).hirsch_length == 5
 
 
 def test_independent_generators_give_free_image():
@@ -327,7 +327,7 @@ def test_independent_generators_give_free_image():
         if bareiss_rank(vecs) != k:
             continue
         basis = induced_basis(gens, p)
-        assert len(basis) == free_nilpotent_hirsch_length(k, p.c)
+        assert len(basis) == Presentation(k, p.c).hirsch_length
         done += 1
 
 
