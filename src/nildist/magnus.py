@@ -30,8 +30,9 @@ commutator, are grouped on the spot.  The right operand's constant term b0
 adds b0 times the left operand in one copy (dict(f) for a group element), so
 the pair loop walks only the rows; the copy needs a left operand with
 nothing above the cutoff, so commutator truncates h before it forms hg.
-embed and evaluate start a product from its first factor, and evaluate reads
-a parse tree without expanding its powers.
+embed and evaluate start a product from its first factor, and evaluate walks
+a straight-line program (a parsed word) bottom-up without expanding it, one
+power per power node and one commutator per bracket.
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
@@ -56,7 +57,7 @@ from itertools import product as cartesian
 
 from .errors import InternalInconsistencyError
 from .presentation import CACHED_PRESENTATIONS, Presentation
-from .words import Commutator, Generator, Power, Product, Word, WordExpr
+from .words import Slp, Word
 
 Monomial = tuple[int, ...]
 
@@ -321,17 +322,22 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(p, bracket)
 
 
-def evaluate(expr: WordExpr, presentation: Presentation) -> GroupElement:
-    """Image of a parse tree (see words.parse), without expanding it."""
-    if isinstance(expr, Generator):
-        return _letter_image(presentation, expr.index, 1)
-    if isinstance(expr, Power):
-        return power(evaluate(expr.child, presentation), expr.exponent)
-    if isinstance(expr, Product):
-        factors = (evaluate(child, presentation) for child in expr.children)
-        return _product(factors, presentation)
-    if isinstance(expr, Commutator):
-        return commutator(
-            evaluate(expr.left, presentation), evaluate(expr.right, presentation)
-        )
-    raise TypeError(f"not a word expression: {expr!r}")
+def evaluate(word: Slp, presentation: Presentation) -> GroupElement:
+    """Image of a straight-line program (see words.parse), node by node
+    from the letters up; free reduction leaves the element alone."""
+    values: dict[Slp, GroupElement] = {}
+    for node in word.nodes():
+        kind, a = node.kind, node.a
+        if kind == "letter":
+            value = _letter_image(presentation, a, 1)
+        elif kind == "power":
+            value = power(values[node.parts[0]], a)
+        elif kind == "concat":
+            value = _product(map(values.__getitem__, node.parts), presentation)
+        elif kind == "commutator":
+            value = commutator(*map(values.__getitem__, node.parts))
+        else:
+            x, y = map(values.__getitem__, node.parts)
+            value = multiply(power(x, a), power(y, node.b))
+        values[node] = value
+    return values[word]

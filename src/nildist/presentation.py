@@ -124,12 +124,6 @@ class Presentation(metaclass=_Interned):
     def name_of(self, index: int) -> str:
         return self.names[index]
 
-    def index_of(self, name: str) -> int:
-        table = _name_table(self)
-        if name not in table:
-            raise KeyError(name)
-        return table[name]
-
 
 @lru_cache(maxsize=CACHED_PRESENTATIONS)
 def _name_table(p: Presentation) -> dict[str, int]:

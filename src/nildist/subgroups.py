@@ -278,7 +278,7 @@ class _Eliminator:
             if current is None:
                 if e < 0:
                     element = inverse(element)
-                    word = word.inverse()
+                    word = Slp.power(word, -1)
                     e = -e
                 self._install(_Entry(element, word, j, e))
                 return

@@ -1,4 +1,4 @@
-"""Group words: parse trees, flat letter sequences, and printing.
+"""Group words: straight-line programs, flat letter sequences, and printing.
 
 Grammar (whitespace-insensitive):
 
@@ -9,7 +9,9 @@ Grammar (whitespace-insensitive):
     name   := letter digit*
 
 The atom "1" is the empty word, so printed output always parses back.  A
-parse tree has four node types: Generator, Power, Product and Commutator.
+parsed word is a straight-line program (Slp), the type that also carries
+elimination's preimage words: a letter node per generator, a power node per
+"^", a concatenation per product of factors and a commutator per bracket.
 
 A bracket with more than two parts nests to the right, [u, v, w] = [u, [v, w]],
 and the commutator convention throughout is [g, h] = g^-1 h^-1 g h.  Parsing
@@ -19,8 +21,9 @@ performs no free reduction; a word is exactly the letter sequence written.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from itertools import groupby
+from functools import cache
+from itertools import chain, count, groupby
+from operator import attrgetter
 
 from .errors import (
     CapExceededError,
@@ -28,43 +31,21 @@ from .errors import (
     UnknownGeneratorError,
     WordSyntaxError,
 )
-from .presentation import Presentation
+from .presentation import Presentation, _name_table
 
-# Flattening repeats letters |exponent| times, so bound the exponent a parse
+# Spelling repeats letters |exponent| times, so bound the exponent a parse
 # will accept rather than letting a stray "a^99999999999" eat all memory.
 MAX_EXPONENT = 10**6
 
 # Nested powers multiply their exponents, so also bound the letters of any
-# word spelled out in full: a flattened parse tree or an expanded Slp.
+# word spelled out in full, and the letters one Slp.expand holds at once.
 MAX_LETTERS = 10**7
+
+# The parser recurses once per bracket or parenthesis: bound the nesting.
+MAX_NESTING = 100
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 Word = tuple[Letter, ...]
-
-
-@dataclass(frozen=True)
-class Generator:
-    index: int
-
-
-@dataclass(frozen=True)
-class Power:
-    child: "WordExpr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Product:
-    children: tuple["WordExpr", ...]
-
-
-@dataclass(frozen=True)
-class Commutator:
-    left: "WordExpr"
-    right: "WordExpr"
-
-
-WordExpr = Generator | Power | Product | Commutator
 
 
 def _tokenize(text: str):
@@ -100,18 +81,14 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, presentation: Presentation):
-        self.text = text
-        self.presentation = presentation
-        self.tokens = _tokenize(text)
+        self.names = _name_table(presentation)
+        # an end token closes the list; reading it ends the parse or raises
+        self.tokens = _tokenize(text) + [("end", None, len(text))]
         self.pos = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("end", None, len(self.text))
+        self.depth = 0
 
     def advance(self):
-        token = self.peek()
+        token = self.tokens[self.pos]
         self.pos += 1
         return token
 
@@ -121,20 +98,20 @@ class _Parser:
             raise WordSyntaxError(f"expected {kind!r}", token[2])
         return token
 
-    def parse_expr(self) -> WordExpr:
+    def parse_expr(self) -> "Slp":
         factors = []
         while True:
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tokens[self.pos]
             if kind not in ("name", "(", "[") and not (kind == "int" and value == 1):
                 break
             factors.append(self.parse_factor())
         if len(factors) == 1:
             return factors[0]
-        return Product(tuple(factors))
+        return Slp.concat(tuple(factors))
 
-    def parse_factor(self) -> WordExpr:
+    def parse_factor(self) -> "Slp":
         atom = self.parse_atom()
-        if self.peek()[0] == "^":
+        if self.tokens[self.pos][0] == "^":
             self.advance()
             kind, value, where = self.advance()
             if kind != "int":
@@ -143,28 +120,28 @@ class _Parser:
                 raise ExponentOverflowError(
                     f"exponent {value} exceeds the limit {MAX_EXPONENT}", where
                 )
-            return Power(atom, value)
+            return Slp.power(atom, value)
         return atom
 
-    def parse_atom(self) -> WordExpr:
+    def parse_atom(self) -> "Slp":
         kind, value, where = self.advance()
         if kind == "int" and value == 1:
-            return Product(())
+            return Slp.concat(())
         if kind == "name":
-            try:
-                index = self.presentation.index_of(value)
-            except KeyError:
-                raise UnknownGeneratorError(
-                    f"unknown generator {value!r}", where
-                ) from None
-            return Generator(index)
+            if value not in self.names:
+                raise UnknownGeneratorError(f"unknown generator {value!r}", where)
+            return Slp.letter(self.names[value])
+        if kind not in ("(", "["):
+            raise WordSyntaxError(f"unexpected {value!r}", where)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise WordSyntaxError(f"nesting deeper than {MAX_NESTING}", where)
         if kind == "(":
-            inner = self.parse_expr()
+            expr = self.parse_expr()
             self.expect(")")
-            return inner
-        if kind == "[":
+        else:
             parts = [self.parse_expr()]
-            while self.peek()[0] == ",":
+            while self.tokens[self.pos][0] == ",":
                 self.advance()
                 parts.append(self.parse_expr())
             self.expect("]")
@@ -172,69 +149,53 @@ class _Parser:
                 raise WordSyntaxError("a commutator needs at least two parts", where)
             expr = parts[-1]
             for part in reversed(parts[:-1]):
-                expr = Commutator(part, expr)
-            return expr
-        raise WordSyntaxError(f"unexpected {value!r}", where)
+                expr = Slp.commutator(part, expr)
+        self.depth -= 1
+        return expr
 
 
-def parse(text: str, presentation: Presentation) -> WordExpr:
+def parse(text: str, presentation: Presentation) -> "Slp":
+    """The word as a straight-line program over letters, without free
+    reduction: its expand() is the letter sequence as written."""
     parser = _Parser(text, presentation)
-    expr = parser.parse_expr()
-    kind, value, where = parser.peek()
+    word = parser.parse_expr()
+    kind, value, where = parser.tokens[parser.pos]
     if kind != "end":
         raise WordSyntaxError(f"unexpected {value!r}", where)
-    return expr
+    return word
 
 
-def _check_letters(count: int) -> None:
-    if count > MAX_LETTERS:
+def _check_letters(count: int, held: int = 0) -> None:
+    if count + held > MAX_LETTERS:
+        beside = f" beside {held} held" if held else ""
         raise CapExceededError(
-            f"word of {count} letters exceeds the limit {MAX_LETTERS}"
+            f"word of {count} letters{beside} exceeds the limit {MAX_LETTERS}"
         )
 
 
-def letter_count(expr: WordExpr) -> int:
-    """len(flatten(expr)), computed without expanding anything."""
-    if isinstance(expr, Generator):
-        return 1
-    if isinstance(expr, Power):
-        return abs(expr.exponent) * letter_count(expr.child)
-    if isinstance(expr, Product):
-        return sum(letter_count(child) for child in expr.children)
-    if isinstance(expr, Commutator):
-        return 2 * (letter_count(expr.left) + letter_count(expr.right))
-    raise TypeError(f"not a word expression: {expr!r}")
-
-
-def flatten(expr: WordExpr) -> Word:
-    """Expand a parse tree into a letter sequence, without free reduction.
-
-    Raises CapExceededError, before expanding, past MAX_LETTERS letters."""
-    _check_letters(letter_count(expr))
-    return _flatten(expr)
-
-
-def _flatten(expr: WordExpr) -> Word:
-    if isinstance(expr, Generator):
-        return ((expr.index, 1),)
-    if isinstance(expr, Power):
-        return word_power(_flatten(expr.child), expr.exponent)
-    if isinstance(expr, Product):
-        out = []
-        for child in expr.children:
-            out.extend(_flatten(child))
-        return tuple(out)
-    if isinstance(expr, Commutator):
-        return commutator_word(_flatten(expr.left), _flatten(expr.right))
-    raise TypeError(f"not a word expression: {expr!r}")
-
-
 def parse_word(text: str, presentation: Presentation) -> Word:
-    return flatten(parse(text, presentation))
+    """The letter sequence of a word as written; parsing performs no free
+    reduction.  Raises CapExceededError past MAX_LETTERS letters before
+    anything is expanded: a parsed word's letter count is exact."""
+    word = parse(text, presentation)
+    _check_letters(word.letters)
+    return word.expand()
+
+
+class _Inverses(dict):
+    """letter -> its inverse, one shared tuple per letter and sign, so an
+    inverted word costs a pointer per letter."""
+
+    def __missing__(self, letter: Letter) -> Letter:
+        self[letter] = inverse = (letter[0], -letter[1])
+        return inverse
+
+
+_INVERSES = _Inverses()
 
 
 def invert_word(word: Word) -> Word:
-    return tuple((index, -sign) for index, sign in reversed(word))
+    return tuple(map(_INVERSES.__getitem__, reversed(word)))
 
 
 def word_power(word: Word, n: int) -> Word:
@@ -259,71 +220,109 @@ def free_reduce(word: Word) -> Word:
 class Slp:
     """A word as a straight-line program: one node of a DAG over letters.
 
-    A node is a letter, the inverse of a node, the free-reduced product
-    x^a y^b, or the commutator [x, y] (not reduced).  Building one is O(1)
-    and touches no letters; len() is the letter count of the unreduced word
-    it denotes (capped at sys.maxsize), kept from construction.  expand()
-    spells the word out and keeps it, so shared nodes are spelled once.
+    A node is a letter, a power u^n of a node (n = -1 is the inverse), the
+    concatenation of nodes as written (a parsed product; none: the empty
+    word), the free-reduced product x^a y^b, or the commutator [x, y] (not
+    reduced); parts are the nodes it reads, and serial, counted up as nodes
+    are made, exceeds theirs.  Building one is O(1); letters is the length
+    of the unreduced word, exact when no product node reduces, as in every
+    parsed word, and len() caps it at sys.maxsize.
     """
 
-    __slots__ = ("kind", "x", "y", "a", "b", "letters", "_word")
+    __slots__ = ("kind", "parts", "a", "b", "letters", "serial")
 
-    def __init__(self, kind, x, y, letters, a=1, b=1, word=None):
+    def __init__(self, kind, parts, letters, a=1, b=1):
         self.kind = kind
-        self.x = x
-        self.y = y
+        self.parts = parts
         self.a = a
         self.b = b
         self.letters = letters
-        self._word = word
+        self.serial = next(_SERIALS)
 
     @staticmethod
+    @cache
     def letter(index: int) -> "Slp":
-        return Slp("letter", None, None, 1, word=((index, 1),))
+        """The generator of that index, one node per index; a holds it."""
+        return Slp("letter", (), 1, index)
 
-    def inverse(self) -> "Slp":
-        return Slp("inverse", self, None, self.letters)
+    @staticmethod
+    def power(x: "Slp", n: int) -> "Slp":
+        return Slp("power", (x,), abs(n) * x.letters, n)
+
+    @staticmethod
+    def concat(parts: tuple) -> "Slp":
+        """The words of parts one after another, not reduced."""
+        return Slp("concat", parts, sum(x.letters for x in parts))
 
     @staticmethod
     def product(x: "Slp", a: int, y: "Slp", b: int) -> "Slp":
         """free_reduce(x^a y^b)"""
-        return Slp("product", x, y, abs(a) * x.letters + abs(b) * y.letters, a, b)
+        return Slp("product", (x, y), abs(a) * x.letters + abs(b) * y.letters, a, b)
 
     @staticmethod
     def commutator(x: "Slp", y: "Slp") -> "Slp":
-        return Slp("commutator", x, y, 2 * (x.letters + y.letters))
+        return Slp("commutator", (x, y), 2 * (x.letters + y.letters))
 
     def __len__(self) -> int:
         return min(self.letters, sys.maxsize)
 
-    def expand(self) -> Word:
-        """The word, raising CapExceededError before any step would build
-        more than MAX_LETTERS letters.  The walk is iterative: the DAG runs
-        as deep as the elimination that built it."""
+    def nodes(self) -> dict["Slp", int]:
+        """Every node of the DAG under this one, each after the nodes it
+        reads (sorted by serial), mapped to how many parts of other nodes
+        are that node.  The walk is iterative: a DAG runs as deep as the
+        elimination or the bracket that built it."""
+        readers = {self: 0}
         stack = [self]
         while stack:
-            node = stack[-1]
-            if node._word is not None:
-                stack.pop()
-                continue
-            pending = [c for c in (node.x, node.y) if c is not None and c._word is None]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            node._word = node._spell()
-        return self._word
+            for x in stack.pop().parts:
+                if x in readers:
+                    readers[x] += 1
+                else:
+                    readers[x] = 1
+                    stack.append(x)
+        return {node: readers[node] for node in sorted(readers, key=_SERIAL)}
 
-    def _spell(self) -> Word:
-        x = self.x._word
-        if self.kind == "inverse":
-            return invert_word(x)
-        y = self.y._word
-        if self.kind == "commutator":
-            _check_letters(2 * (len(x) + len(y)))
+    def expand(self) -> Word:
+        """The word, spelled bottom-up.  A node's word is dropped once every
+        node that reads it is spelled, and CapExceededError is raised before
+        any step would leave more than MAX_LETTERS letters held."""
+        readers = self.nodes()
+        words: dict[Slp, Word] = {}
+        held = 0
+        for node in readers:
+            parts = [words[x] for x in node.parts]
+            for x in node.parts:
+                readers[x] -= 1
+                if not readers[x]:
+                    held -= len(words.pop(x))
+            word = node._spell(parts, held)
+            held += len(word)
+            words[node] = word
+        return words[self]
+
+    def _spell(self, parts: list, held: int) -> Word:
+        """This node's word from the words of its parts, refused before it
+        is built if it would take the letters held past MAX_LETTERS."""
+        kind, a = self.kind, self.a
+        if kind == "letter":
+            _check_letters(1, held)
+            return ((a, 1),)
+        if kind == "power":
+            _check_letters(abs(a) * len(parts[0]), held)
+            return word_power(parts[0], a)
+        if kind == "concat":
+            _check_letters(sum(map(len, parts)), held)
+            return tuple(chain.from_iterable(parts))
+        x, y = parts
+        if kind == "commutator":
+            _check_letters(2 * (len(x) + len(y)), held)
             return commutator_word(x, y)
-        _check_letters(abs(self.a) * len(x) + abs(self.b) * len(y))
-        return free_reduce(word_power(x, self.a) + word_power(y, self.b))
+        _check_letters(abs(a) * len(x) + abs(self.b) * len(y), held)
+        return free_reduce(chain(word_power(x, a), word_power(y, self.b)))
+
+
+_SERIALS = count()
+_SERIAL = attrgetter("serial")
 
 
 def substitute(word: Word, replacements: list[Word] | tuple[Word, ...]) -> Word:

@@ -6,7 +6,7 @@ import pytest
 import nildist
 from oracles import witt_every_d
 from nildist import hall, magnus, presentation
-from nildist.errors import CapExceededError
+from nildist.errors import CapExceededError, UnknownGeneratorError
 from nildist.magnus import embed, multiply
 from nildist.presentation import (
     CACHED_PRESENTATIONS,
@@ -14,6 +14,7 @@ from nildist.presentation import (
     mobius,
     witt_number,
 )
+from nildist.words import parse_word
 
 
 def test_mobius():
@@ -51,10 +52,9 @@ def test_default_names():
 def test_name_lookup():
     p = Presentation(3, 2)
     assert p.name_of(2) == "c"
-    assert p.index_of("c") == 2
-    assert p.index_of("x3") == 2
-    with pytest.raises(KeyError):
-        p.index_of("z")
+    assert parse_word("c x3", p) == ((2, 1), (2, 1))
+    with pytest.raises(UnknownGeneratorError):
+        parse_word("z", p)
 
 
 def test_custom_names_must_be_distinct():
@@ -94,7 +94,7 @@ def test_presentation_caches_are_bounded():
         hall.hall_basis(q)
         hall.letter_steps(q)
         embed(((0, 1), (0, -1)), q)
-        assert q.index_of(q.names[0]) == 0
+        assert parse_word(q.names[0], q) == ((0, 1),)
     for cache in (
         presentation._intern,
         presentation._name_table,

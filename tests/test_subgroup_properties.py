@@ -1,12 +1,12 @@
 """Property tests of subgroup elimination on random 2-3-generator subgroups
 of F(2..3, 2..3) and F(2, 4): preimage words spell their elements, every
 distorted verdict carries a certificate, the verdict's invariants do not
-depend on how the subgroup and the ambient group are presented, the
-retraction, the abelianization and the normality test read off polynomial
-images agree with their letter-level oracles, the one elimination along
-the pullback series agrees with two eliminations that commute every queued
-pair, and membership agrees with greedy reduction on full coordinates
-along either series."""
+depend on how the subgroup and the ambient group are presented nor on an
+automorphism of the ambient group, the retraction, the abelianization and
+the normality test read off polynomial images agree with their
+letter-level oracles, the one elimination along the pullback series agrees
+with two eliminations that commute every queued pair, and membership
+agrees with greedy reduction on full coordinates along either series."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,10 +33,11 @@ from nildist.subgroups import (
     induced_basis,
     member,
 )
-from nildist.words import commutator_word, substitute
+from nildist.words import commutator_word, free_reduce, invert_word, substitute
 
 GROUPS = tuple(Presentation(m, c) for m, c in ((2, 2), (2, 3), (3, 2), (3, 3)))
 INVARIANCE_GROUPS = GROUPS + (Presentation(2, 4),)
+AUTOMORPHISM_GROUPS = tuple(Presentation(m, c) for m, c in ((2, 3), (2, 4), (3, 2)))
 LETTER_GROUPS = tuple(Presentation(m, c) for m in (2, 3) for c in (2, 3, 4))
 
 SUBGROUPS = settings(max_examples=100, deadline=None)
@@ -155,6 +156,45 @@ def test_verdict_invariants_survive_moves(case):
     base = _invariants(decide_undistorted(gens, p))
     for other in moved:
         assert _invariants(decide_undistorted(other, p)) == base
+
+
+@st.composite
+def automorphic_images(draw):
+    """A subgroup of F(2, 3), F(2, 4) or F(3, 2) and its image under an
+    automorphism of F: a product of Nielsen moves a_i <- a_i^-1,
+    a_i <- a_i a_j^(+-1) and a_i <- a_j^(+-1) a_i, applied to the letters'
+    images one after another."""
+    p = draw(st.sampled_from(AUTOMORPHISM_GROUPS))
+    gens = draw(_generators(p))
+    images = [((i, 1),) for i in range(p.m)]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(p.m)))[:2]
+        move = draw(st.integers(0, 2))
+        piece = draw(st.sampled_from((images[j], invert_word(images[j]))))
+        if move == 0:
+            images[i] = invert_word(images[i])
+        elif move == 1:
+            images[i] = free_reduce(images[i] + piece)
+        else:
+            images[i] = free_reduce(piece + images[i])
+    return p, gens, [free_reduce(substitute(w, images)) for w in gens]
+
+
+@SUBGROUPS
+@given(automorphic_images())
+def test_verdict_invariants_survive_ambient_automorphisms(case):
+    # an automorphism of F keeps the lower central series, so H and its
+    # image agree on everything the theorem reads and on the least weight
+    # of H's kernel witness; the greedy retraction may differ
+    p, gens, moved = case
+
+    def invariants(report):
+        verdict, k, hirsch_H, _, finite_index, normal, exponent = _invariants(report)
+        weight = report.kernel_witness and report.kernel_witness[1]
+        return verdict, k, hirsch_H, finite_index, normal, exponent, weight
+
+    base = invariants(decide_undistorted(gens, p))
+    assert invariants(decide_undistorted(moved, p)) == base
 
 
 @SUBGROUPS

@@ -9,19 +9,16 @@ from nildist.errors import (
     UnknownGeneratorError,
     WordSyntaxError,
 )
+from nildist.magnus import commutator, embed, evaluate, identity, power
 from nildist.presentation import Presentation
 from nildist.words import (
-    Commutator,
-    Generator,
-    Power,
-    Product,
+    MAX_LETTERS,
+    MAX_NESTING,
     Slp,
     commutator_word,
-    flatten,
     format_word,
     free_reduce,
     invert_word,
-    letter_count,
     parse,
     parse_word,
     substitute,
@@ -32,57 +29,72 @@ P22 = Presentation(2, 2)
 P32 = Presentation(3, 2)
 
 
+def letters(text, p=P22):
+    return parse(text, p).expand()
+
+
 def test_parse_shapes():
-    assert parse("a", P22) == Generator(0)
-    assert parse("", P22) == Product(())
-    assert parse("a^2[a,b]^3", P22) == Product(
-        (
-            Power(Generator(0), 2),
-            Power(Commutator(Generator(0), Generator(1)), 3),
-        )
+    # a letter node per generator, a power per "^", a concatenation per
+    # product of factors and a commutator per bracket
+    a, b = embed(((0, 1),), P22), embed(((1, 1),), P22)
+    assert parse("a", P22).kind == "letter" and letters("a") == ((0, 1),)
+    assert parse("", P22).kind == "concat" and letters("") == ()
+    word = parse("a^2[a,b]^3", P22)
+    # one node per generator, read twice here
+    assert parse("b", P22) is Slp.letter(1) and word.nodes()[Slp.letter(0)] == 2
+    order = list(word.nodes())
+    assert sorted(node.kind for node in order) == [
+        "commutator", "concat", "letter", "letter", "power", "power"
+    ]
+    assert order[-1] is word
+    assert all(order.index(x) < order.index(node) for node in order for x in node.parts)
+    assert word.expand() == word_power(((0, 1),), 2) + word_power(
+        commutator_word(((0, 1),), ((1, 1),)), 3
     )
-    assert parse("(ab)^-1", P22) == Power(
-        Product((Generator(0), Generator(1))), -1
-    )
+    assert evaluate(word, P22) == power(a, 2) * power(commutator(a, b), 3)
+    assert letters("(ab)^-1") == ((1, -1), (0, -1))
+    assert evaluate(parse("(ab)^-1", P22), P22) == power(a * b, -1)
 
 
 def test_nary_commutator_nests_right():
-    assert parse("[a,b,a]", P32) == parse("[a,[b,a]]", P32)
-    assert parse("[c,b,a,c]", P32) == Commutator(
-        Generator(2), Commutator(Generator(1), Commutator(Generator(0), Generator(2)))
-    )
+    assert letters("[a,b,a]", P32) == letters("[a,[b,a]]", P32)
+    c, b, a = (((i, 1),) for i in (2, 1, 0))
+    nested = commutator_word(c, commutator_word(b, commutator_word(a, c)))
+    assert letters("[c,b,a,c]", P32) == nested
+    assert evaluate(parse("[c,b,a,c]", P32), P32) == embed(nested, P32)
 
 
 def test_canonical_and_alias_names():
-    assert parse("x1 x2", P22) == parse("a b", P22)
+    assert letters("x1 x2") == letters("a b")
     p = Presentation(6, 2)
-    assert parse("x6", p) == Generator(5)
+    assert letters("x6", p) == ((5, 1),)
     with pytest.raises(UnknownGeneratorError):
         parse("a", p)
 
 
 def test_custom_names():
     p = Presentation(2, 2, names=("u", "v"))
-    assert parse("u v^-1", p) == Product((Generator(0), Power(Generator(1), -1)))
+    assert letters("u v^-1", p) == ((0, 1), (1, -1))
     # canonical names stay available
-    assert parse("x2", p) == Generator(1)
+    assert letters("x2", p) == ((1, 1),)
 
 
 def test_whitespace_insensitive():
-    assert parse(" [ a , b ] ^ 2 ", P22) == parse("[a,b]^2", P22)
+    assert letters(" [ a , b ] ^ 2 ") == letters("[a,b]^2")
 
 
 def test_one_is_the_empty_word():
     assert parse_word("1", P22) == ()
     assert parse_word("a 1 b", P22) == ((0, 1), (1, 1))
     assert parse_word("1^5", P22) == ()
+    assert evaluate(parse("1^5", P22), P22) == identity(P22)
     with pytest.raises(WordSyntaxError):
         parse("2", P22)
     with pytest.raises(WordSyntaxError):
         parse("11", P22)
 
 
-def test_flatten_letters():
+def test_parse_word_letters():
     assert parse_word("a", P22) == ((0, 1),)
     assert parse_word("a^-2", P22) == ((0, -1), (0, -1))
     assert parse_word("[a,b]", P22) == ((0, -1), (1, -1), (0, 1), (1, 1))
@@ -91,7 +103,7 @@ def test_flatten_letters():
     assert parse_word("a a^-1", P22) == ((0, 1), (0, -1))
 
 
-def test_flatten_length_arithmetic():
+def test_word_length_arithmetic():
     rng = random.Random(7)
     for _ in range(200):
         u = tuple(
@@ -106,32 +118,56 @@ def test_flatten_length_arithmetic():
         assert invert_word(invert_word(u)) == u
 
 
-def test_flatten_refuses_words_past_the_letter_cap():
+def test_inverted_letters_are_shared():
+    # one tuple per inverted letter, however long the word
+    word = parse_word("(a b^-1)^1000", P22)
+    inverse = invert_word(word)
+    assert inverse == tuple((i, -s) for i, s in reversed(word))
+    assert len({id(letter) for letter in inverse}) == 2
+
+
+def test_parse_word_refuses_words_past_the_letter_cap():
+    # a parsed word's letter count is exact
     for text in ("a [a,b]^3 (a b^-1)^-2", "[a,b,a]^5 b", "1", "(a^2 [b,a])^-3"):
-        expr = parse(text, P22)
-        assert letter_count(expr) == len(flatten(expr))
+        assert parse(text, P22).letters == len(parse_word(text, P22))
     # 2 * 10^10 letters: refused before anything is expanded
-    expr = parse("((a b)^100000)^100000", P22)
-    assert letter_count(expr) == 2 * 10**10
-    with pytest.raises(CapExceededError):
-        flatten(expr)
+    word = parse("((a b)^100000)^100000", P22)
+    assert word.letters == 2 * 10**10
+    with pytest.raises(CapExceededError) as exc:
+        parse_word("((a b)^100000)^100000", P22)
+    assert str(exc.value) == f"word of {2 * 10**10} letters exceeds the limit {MAX_LETTERS}"
     assert len(parse_word("a^1000000 b^1000000", P22)) == 2 * 10**6
 
 
+def test_nesting_is_bounded():
+    deep = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_word(deep, P22) == ((0, 1),)
+    with pytest.raises(WordSyntaxError) as exc:
+        parse("[" + deep + ",b]", P22)
+    assert "nesting deeper than" in str(exc.value)
+    # a long bracket nests no parser call: its walks are iterative
+    bracket = parse("[" + ",".join(["a"] * 1000) + "]", P22)
+    assert bracket.letters > MAX_LETTERS
+    assert evaluate(bracket, P22) == identity(P22)
+    assert evaluate(parse("[b," + ",".join(["a"] * 999) + "]", P22), P22).is_identity()
+
+
 def _random_slp(rng, m, steps):
-    """Random Slp nodes, each next to the word the eliminator's word
-    arithmetic builds for it."""
+    """Random Slp nodes of every kind, each next to the word the
+    eliminator's or the parser's word arithmetic builds for it."""
     pool = [(Slp.letter(i), ((i, 1),)) for i in range(m)]
     for _ in range(steps):
         (x, xw), (y, yw) = rng.choice(pool), rng.choice(pool)
         n = rng.choice((-2, -1, 1, 2))
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
         if kind == 0:
-            pool.append((x.inverse(), invert_word(xw)))
+            pool.append((Slp.power(x, n), word_power(xw, n)))
         elif kind == 1:
             pool.append((Slp.product(x, n, y, 1), free_reduce(word_power(xw, n) + yw)))
         elif kind == 2:
             pool.append((Slp.product(x, 1, y, n), free_reduce(xw + word_power(yw, n))))
+        elif kind == 3:
+            pool.append((Slp.concat((x, y, x)), xw + yw + xw))
         else:
             pool.append((Slp.commutator(x, y), commutator_word(xw, yw)))
     return pool
@@ -145,6 +181,7 @@ def test_slp_expands_to_the_word_arithmetic_letter_for_letter():
             assert node.expand() == word
             # len() is the unreduced letter count, an upper bound
             assert len(node) >= len(word)
+            assert evaluate(node, P32) == embed(word, P32)
 
 
 def test_slp_expansion_is_iterative_and_capped():
@@ -157,12 +194,29 @@ def test_slp_expansion_is_iterative_and_capped():
     # length grows fourfold at each commutator, without expanding anything
     node = Slp.commutator(a, b)
     for _ in range(80):
-        node = Slp.commutator(node, node.inverse())
+        node = Slp.commutator(node, Slp.power(node, -1))
     assert node.letters == 4**81
     assert len(node) == sys.maxsize
     # expansion refuses a step past the cap before building it
     with pytest.raises(CapExceededError):
         Slp.product(a, 10**8, b, 1).expand()
+
+
+def test_slp_expansion_bounds_the_letters_it_holds():
+    # the five words of the chain add up past the cap, but each is dropped
+    # once the next one has read it
+    a, b = Slp.letter(0), Slp.letter(1)
+    node = Slp.power(a, 3 * 10**6)
+    for _ in range(4):
+        node = Slp.concat((node, b))
+    assert node.expand() == ((0, 1),) * (3 * 10**6) + ((1, 1),) * 4
+    # a word read by several nodes is held until the last of them is spelled
+    big = Slp.power(a, 4 * 10**6)
+    with pytest.raises(CapExceededError) as exc:
+        Slp.concat(tuple(Slp.power(big, -1) for _ in range(3))).expand()
+    assert str(exc.value) == (
+        f"word of 4000000 letters beside 8000000 held exceeds the limit {MAX_LETTERS}"
+    )
 
 
 def test_free_reduce():
