@@ -17,7 +17,7 @@ from .hall import hall_basis, normal_form_str, to_coordinates
 from .magnus import commutator, evaluate, multiply
 from .presentation import DEFAULT_HIRSCH_CAP, Presentation
 from .subgroups import cyclic_distortion_exponent, decide_undistorted
-from .words import parse, parse_word
+from .words import parse
 
 
 class _UsageError(Exception):
@@ -193,7 +193,7 @@ def _run(args) -> str:
 
     if args.command == "analyze":
         fmt = _pick_format(args, "json")
-        gens = [parse_word(text, presentation) for text in args.gens]
+        gens = [parse(text, presentation) for text in args.gens]
         report = decide_undistorted(gens, presentation)
         data = report.json_dict()
         if fmt == "json":
@@ -228,7 +228,7 @@ def _run(args) -> str:
 
     if args.command == "measure":
         fmt = _pick_format(args, "csv", allowed=("text", "json", "csv"))
-        gens = [parse_word(text, presentation) for text in args.gens]
+        gens = [parse(text, presentation) for text in args.gens]
         table = measure_distortion(
             gens, presentation, args.radius, max_elements=args.max_elements
         )

@@ -58,9 +58,10 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError
 from .hall import apply_step, hall_basis, letter_steps, step_map
-from .magnus import embed, inverse
+from .magnus import embed, evaluate, inverse
 from .presentation import Presentation
 from .subgroups import induced_basis
+from .words import Slp
 
 # A ball element is a coordinate tuple and a dict entry, about 0.26 KB in
 # F(3,2): the radius-9 ball (350,591 elements) peaks at 102 MB RSS.  With
@@ -104,7 +105,7 @@ def _step_maps(presentation, gens, maps):
     (g, g^-1) pairs with the identity and repeats left out."""
     steps = []
     for word in gens:
-        g = embed(tuple(word), presentation)
+        g = evaluate(word, presentation)
         if not g.is_identity() and g not in steps:
             steps += [g, inverse(g)]
     return [maps[g] for g in steps]
@@ -190,10 +191,6 @@ class DistortionTable:
         return "\n".join(lines) + "\n"
 
 
-def _ambient_words(presentation):
-    return [((i, 1),) for i in range(presentation.m)]
-
-
 def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap, maps):
     """Subgroup lengths of the target elements, by BFS over gens.
 
@@ -249,10 +246,9 @@ def measure_distortion(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
     subgroup_radius_cap: int | None = None,
 ) -> DistortionTable:
-    gens = [tuple(w) for w in gens]
-    ball = enumerate_ball(
-        presentation, _ambient_words(presentation), radius, max_elements=max_elements
-    )
+    gens = list(gens)
+    letters = [Slp.letter(i) for i in range(presentation.m)]
+    ball = enumerate_ball(presentation, letters, radius, max_elements=max_elements)
     basis = induced_basis(gens, presentation)
     maps = _step_cache(presentation)
 

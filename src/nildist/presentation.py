@@ -5,7 +5,9 @@ Hirsch length is the sum of the Witt numbers W(m, k) for k = 1..c, and a
 hard cap on that length (default 60) keeps every downstream structure at a
 size where exact integer arithmetic stays cheap.  Exceeding the cap is a
 configuration error, never a silent truncation; the sum stops at the first
-k that passes the cap, so a huge class is refused at once.
+k that passes the cap, so a huge class is refused at once.  Rank 1 has no
+such bound, as F(1, c) is Z for every c: a rank-1 presentation carries
+class 1.
 
 Equal presentations are one object: Presentation(...) returns the
 equal instance it made before, if that is still among the last
@@ -88,6 +90,9 @@ class Presentation(metaclass=_Interned):
             raise ValueError(f"class must be a positive integer, got {self.c!r}")
         if self.max_hirsch < 1:
             raise ValueError("max_hirsch must be positive")
+        if self.m == 1:
+            # F(1, c) is Z = F(1, 1) for every c
+            object.__setattr__(self, "c", 1)
         if not self.names:
             if self.m <= len(ALIAS_NAMES):
                 names = ALIAS_NAMES[: self.m]

@@ -56,10 +56,10 @@ when it holds the commutator of each generator with each ambient letter.
 With k = 0 there is no retraction, H is distorted, the ambient series
 serves, and a lightest generator is the witness.
 
-Preimage words.  Exchange steps and commutators compound preimage words
-exponentially (10^9 letters and more at F(3,3)), so elimination tracks each
-one as a straight-line program (words.Slp): every step adds one O(1) node
-over the nodes it combines.  Only the witness is ever expanded into letters.
+Words.  Exchange steps and commutators compound words exponentially (10^9
+letters and more at F(3,3)), so elimination tracks each one as a
+straight-line program (words.Slp): generator i starts as its own parsed
+program, each step adds one O(1) node, and only the witness is spelled.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .magnus import (
     GroupElement,
     commutator,
     embed,
+    evaluate,
     exponent_sums,
     inverse,
     key_product,
@@ -83,7 +84,7 @@ from .magnus import (
     power,
 )
 from .presentation import Presentation
-from .words import Slp, Word, free_reduce, format_word, substitute
+from .words import Slp, Word, free_reduce, format_word
 
 DEFAULT_MAX_EVENTS = 10**6
 
@@ -141,7 +142,10 @@ class Retraction:
         ]
         table = {1: 1}
         layer = [(1, 1)]
-        for _ in range(self.source.c):
+        for d in range(self.source.c):
+            if d == self.target.c:
+                # a rank-1 target has class 1: its monomials stop there
+                letters = [(x, 0) for x, _ in letters]
             layer = [
                 (key_product(k, x), t and y and key_product(t, y))
                 for k, t in layer
@@ -205,9 +209,9 @@ class SubgroupStandardBasis:
     that sequence by strictly increasing pivot, back-reduced by Mal'cev
     coordinates (so on the ambient series only) on first read.  Each entry
     carries its pivot and pivot value, its coordinate vector (peeled on first
-    read) and a preimage word over the input generator symbols, a words.Slp
-    node that expand() spells out.  relations collects preimage words that
-    collapsed to the identity during elimination.
+    read) and its word, a words.Slp over the generators' own programs that
+    expand() spells in the ambient letters.  relations collects the words
+    that collapsed to the identity during elimination.
     """
 
     def __init__(self, eliminator):
@@ -311,13 +315,11 @@ class _Eliminator:
             self.insert(element, word)
 
 
-def _eliminate(elements, presentation: Presentation, max_events: int, lead):
+def _eliminate(gens, elements, presentation: Presentation, max_events: int, lead):
     """Standard basis, along the series that lead reads, of the subgroup
-    generated by already embedded generators; preimage letter i stands for
-    elements[i]."""
+    generated by the programs gens, already evaluated as elements."""
     eliminator = _Eliminator(presentation, max_events, lead)
-    for i, g in enumerate(elements):
-        eliminator.queue.append((g, Slp.letter(i)))
+    eliminator.queue.extend(zip(elements, gens))
     eliminator.run()
     return SubgroupStandardBasis(eliminator)
 
@@ -325,9 +327,9 @@ def _eliminate(elements, presentation: Presentation, max_events: int, lead):
 def induced_basis(
     gens, presentation: Presentation, *, max_events: int = DEFAULT_MAX_EVENTS
 ) -> SubgroupStandardBasis:
-    """Standard basis of the subgroup generated by the given words."""
-    elements = [embed(tuple(word), presentation) for word in gens]
-    return _eliminate(elements, presentation, max_events, _lead)
+    """Standard basis of the subgroup generated by the given words (Slps)."""
+    elements = [evaluate(word, presentation) for word in gens]
+    return _eliminate(gens, elements, presentation, max_events, _lead)
 
 
 def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
@@ -433,8 +435,8 @@ def _kernel_witness(basis, word, retraction: Retraction):
 def decide_undistorted(
     gens, presentation: Presentation, *, max_events: int = DEFAULT_MAX_EVENTS
 ) -> DistortionReport:
-    gens = [tuple(w) for w in gens]
-    elements = [embed(w, presentation) for w in gens]
+    gens = list(gens)
+    elements = [evaluate(w, presentation) for w in gens]
     hirsch_F = presentation.hirsch_length
     nontrivial = [(w, g) for w, g in zip(gens, elements) if not g.is_identity()]
 
@@ -451,7 +453,7 @@ def decide_undistorted(
     else:
         retraction = build_retraction(ab, presentation)
         lead, shift = _pullback_lead(retraction), retraction.target.hirsch_length
-    basis = _eliminate(elements, presentation, max_events, lead)
+    basis = _eliminate(gens, elements, presentation, max_events, lead)
     hirsch_H = len(basis)
     hirsch_rH = sum(j < shift for j in basis._slots)
     normal = _is_normal(basis, elements, presentation)
@@ -462,15 +464,14 @@ def decide_undistorted(
 
     witness = None
     if retraction is None:
-        witness = (free_reduce(lightest), g.weight())
+        witness = (free_reduce(lightest.expand()), g.weight())
     elif hirsch_H != hirsch_rH:
         # the lightest F-pivot slot is an element of H \cap N of least weight
         entry = min(
             (t for j, t in basis._slots.items() if j >= shift),
             key=lambda t: (t.element.weight(), len(t.word)),
         )
-        ambient = free_reduce(substitute(entry.word.expand(), gens))
-        witness = _kernel_witness(basis, ambient, retraction)
+        witness = _kernel_witness(basis, free_reduce(entry.word.expand()), retraction)
 
     undistorted = retraction is not None and hirsch_H == hirsch_rH
     return DistortionReport(

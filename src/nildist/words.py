@@ -9,9 +9,9 @@ Grammar (whitespace-insensitive):
     name   := letter digit*
 
 The atom "1" is the empty word, so printed output always parses back.  A
-parsed word is a straight-line program (Slp), the type that also carries
-elimination's preimage words: a letter node per generator, a power node per
-"^", a concatenation per product of factors and a commutator per bracket.
+parsed word is a straight-line program (Slp), which elimination extends
+node by node: a letter node per generator, a power node per "^", a
+concatenation per product of factors and a commutator per bracket.
 
 A bracket with more than two parts nests to the right, [u, v, w] = [u, [v, w]],
 and the commutator convention throughout is [g, h] = g^-1 h^-1 g h.  Parsing
@@ -21,8 +21,9 @@ performs no free reduction; a word is exactly the letter sequence written.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from functools import cache
-from itertools import chain, count, groupby
+from itertools import chain, count, groupby, repeat
 from operator import attrgetter
 
 from .errors import (
@@ -191,20 +192,18 @@ class _Inverses(dict):
         return inverse
 
 
-_INVERSES = _Inverses()
+_INVERSE = _Inverses().__getitem__
 
 
-def invert_word(word: Word) -> Word:
-    return tuple(map(_INVERSES.__getitem__, reversed(word)))
+def _inverted(word: Word) -> Iterator[Letter]:
+    return map(_INVERSE, reversed(word))
 
 
-def word_power(word: Word, n: int) -> Word:
-    base = word if n >= 0 else invert_word(word)
-    return base * abs(n)
-
-
-def commutator_word(u: Word, v: Word) -> Word:
-    return invert_word(u) + invert_word(v) + u + v
+def _power_letters(word: Word, n: int) -> Iterator[Letter]:
+    """The letters of word^n, streamed: no copy of word or its inverse."""
+    if n < 0:
+        return chain.from_iterable(map(_inverted, repeat(word, -n)))
+    return chain.from_iterable(repeat(word, n))
 
 
 def free_reduce(word: Word) -> Word:
@@ -302,39 +301,29 @@ class Slp:
 
     def _spell(self, parts: list, held: int) -> Word:
         """This node's word from the words of its parts, refused before it
-        is built if it would take the letters held past MAX_LETTERS."""
+        is built if it would take the letters held past MAX_LETTERS.  Powers
+        and inverses stream into the result, so a step holds its parts and
+        its word (and free_reduce's list) only."""
         kind, a = self.kind, self.a
         if kind == "letter":
             _check_letters(1, held)
             return ((a, 1),)
         if kind == "power":
             _check_letters(abs(a) * len(parts[0]), held)
-            return word_power(parts[0], a)
+            return parts[0] * a if a > 0 else tuple(_power_letters(parts[0], a))
         if kind == "concat":
             _check_letters(sum(map(len, parts)), held)
             return tuple(chain.from_iterable(parts))
         x, y = parts
         if kind == "commutator":
             _check_letters(2 * (len(x) + len(y)), held)
-            return commutator_word(x, y)
+            return tuple(chain(_inverted(x), _inverted(y), x, y))
         _check_letters(abs(a) * len(x) + abs(self.b) * len(y), held)
-        return free_reduce(chain(word_power(x, a), word_power(y, self.b)))
+        return free_reduce(chain(_power_letters(x, a), _power_letters(y, self.b)))
 
 
 _SERIALS = count()
 _SERIAL = attrgetter("serial")
-
-
-def substitute(word: Word, replacements: list[Word] | tuple[Word, ...]) -> Word:
-    """Map letter (j, s) to replacements[j] (inverted when s < 0).
-
-    Raises CapExceededError, before building it, past MAX_LETTERS letters."""
-    _check_letters(sum(len(replacements[index]) for index, _ in word))
-    out: list[Letter] = []
-    for index, sign in word:
-        piece = replacements[index]
-        out.extend(piece if sign > 0 else invert_word(piece))
-    return tuple(out)
 
 
 def format_word(word: Word, presentation: Presentation) -> str:

@@ -16,11 +16,14 @@ instead of skipping the steps back to its parents, and the undistortedness
 decision by two eliminations (H in F, r(H) in D) on an eliminator that
 commutes every queued pair, with a witness scanned from every relation of
 r(H), instead of one elimination along the pullback series that skips the
-pairs of displaced entries.  Agreement between these and the package is the
-point of the tests that import them.
+pairs of displaced entries, and word arithmetic that builds letter tuples
+part by part (and substitutes them for letters) instead of straight-line
+programs spelled in one stream.  Agreement between these and the package is
+the point of the tests that import them.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from itertools import product as cartesian
 
 from nildist.errors import CapExceededError, InternalInconsistencyError
@@ -35,7 +38,43 @@ from nildist.subgroups import (
     abelianized_basis,
     build_retraction,
 )
-from nildist.words import Slp, free_reduce, substitute
+from nildist.words import Slp, free_reduce
+
+
+# ----------------------------------------------------------- letter words
+
+# Word arithmetic on letter tuples: the reference spellings that
+# Slp.expand streams, and the substitution the eliminator's programs make
+# unnecessary.
+
+def invert_word(word):
+    return tuple((i, -s) for i, s in reversed(word))
+
+
+def word_power(word, n):
+    base = word if n >= 0 else invert_word(word)
+    return base * abs(n)
+
+
+def commutator_word(u, v):
+    return invert_word(u) + invert_word(v) + u + v
+
+
+def substitute(word, replacements):
+    """Map letter (j, s) to replacements[j] (inverted when s < 0)."""
+    out = []
+    for index, sign in word:
+        piece = replacements[index]
+        out.extend(piece if sign > 0 else invert_word(piece))
+    return tuple(out)
+
+
+def word_slp(word):
+    """A letter tuple as the straight-line program that spells it: one
+    power of a letter node per run of equal letters."""
+    return Slp.concat(
+        tuple(Slp.power(Slp.letter(i), s * len(list(run))) for (i, s), run in groupby(word))
+    )
 
 
 # ------------------------------------------------------------ monomial keys

@@ -16,11 +16,14 @@ from oracles import (
     element_ball,
     exponent_vector,
     lyndon_count,
+    invert_word,
     random_word,
+    word_power,
+    word_slp,
 )
 from nildist.distortion import estimate_exponent, measure_distortion
 from nildist.hall import from_coordinates, hall_basis, to_coordinates
-from nildist.magnus import commutator, embed, identity, multiply, power
+from nildist.magnus import commutator, embed, evaluate, identity, multiply, power
 from nildist.presentation import Presentation
 from nildist.subgroups import (
     abelianized_basis,
@@ -29,7 +32,7 @@ from nildist.subgroups import (
     induced_basis,
     member,
 )
-from nildist.words import free_reduce, invert_word, parse_word, word_power
+from nildist.words import Slp, free_reduce, parse
 
 P22 = Presentation(2, 2)
 P23 = Presentation(2, 3)
@@ -133,9 +136,9 @@ def test_criterion_3_decision_catalog():
             problems.append(label)
 
     def witness_checks(texts, p, report):
-        gens = [parse_word(t, p) for t in texts]
+        gens = [parse(t, p) for t in texts]
         if report.verdict == "undistorted":
-            killed_letters = [((i, 1),) for i in report.retract_witness.killed]
+            killed_letters = [Slp.letter(i) for i in report.retract_witness.killed]
             hn = induced_basis(gens + killed_letters, p)
             expect(len(hn) == p.hirsch_length, f"{texts}: HN index")
             expect(report.hirsch_H == report.hirsch_rH, f"{texts}: hirsch match")
@@ -144,7 +147,7 @@ def test_criterion_3_decision_catalog():
             g = embed(word, p)
             expect(not g.is_identity(), f"{texts}: witness trivial")
             expect(g.weight() == wt, f"{texts}: witness weight")
-            ab = abelianized_basis([embed(w, p) for w in gens], p)
+            ab = abelianized_basis([evaluate(w, p) for w in gens], p)
             if ab.k > 0:
                 r = build_retraction(ab, p)
                 expect(
@@ -156,12 +159,12 @@ def test_criterion_3_decision_catalog():
                 # everything; the witness must sit below the abelianization
                 expect(g.weight() >= 2, f"{texts}: witness weight under k=0")
 
-    report = decide_undistorted([parse_word("[a,b]", P22)], P22)
+    report = decide_undistorted([parse("[a,b]", P22)], P22)
     expect(report.verdict == "distorted", "{[a,b]}: verdict")
     expect(report.cyclic_exponent == 2, "{[a,b]}: exponent")
     witness_checks(["[a,b]"], P22, report)
 
-    report = decide_undistorted([parse_word("a^2[a,b]^3", P22)], P22)
+    report = decide_undistorted([parse("a^2[a,b]^3", P22)], P22)
     expect(report.verdict == "undistorted", "{a^2[a,b]^3}: verdict")
     expect(
         report.retract_witness is not None
@@ -171,13 +174,13 @@ def test_criterion_3_decision_catalog():
     witness_checks(["a^2[a,b]^3"], P22, report)
 
     report = decide_undistorted(
-        [parse_word(t, P22) for t in ("a^2", "b", "[a,b]")], P22
+        [parse(t, P22) for t in ("a^2", "b", "[a,b]")], P22
     )
     expect(report.verdict == "undistorted", "{a^2,b,[a,b]}: verdict")
     expect(report.finite_index, "{a^2,b,[a,b]}: finite index")
     witness_checks(["a^2", "b", "[a,b]"], P22, report)
 
-    report = decide_undistorted([parse_word(t, P22) for t in ("a", "[a,b]")], P22)
+    report = decide_undistorted([parse(t, P22) for t in ("a", "[a,b]")], P22)
     expect(report.verdict == "distorted", "{a,[a,b]}: verdict")
     expect(report.normal, "{a,[a,b]}: normal")
     witness_checks(["a", "[a,b]"], P22, report)
@@ -187,7 +190,7 @@ def test_criterion_3_decision_catalog():
 
 def test_criterion_4_quadratic_distortion_measurement():
     start = time.monotonic()
-    table = measure_distortion([parse_word("[a,b]", P22)], P22, 12)
+    table = measure_distortion([parse("[a,b]", P22)], P22, 12)
     slope = estimate_exponent(table)
     elapsed = time.monotonic() - start
 
@@ -243,7 +246,7 @@ def test_criterion_5_membership_against_closure():
             redraws += 1
             assert redraws < 200
             continue
-        basis = induced_basis(gens, p)
+        basis = induced_basis([word_slp(w) for w in gens], p)
         for g in ball:
             if member(basis, g) != (g in closure):
                 disagreements += 1
@@ -294,7 +297,8 @@ def test_criterion_7_round_trip_and_homomorphism():
         gens = [random_word(rng, p.m, 3, min_len=1) for _ in range(k)]
         if bareiss_rank([exponent_vector(w, p.m) for w in gens]) != k:
             continue
-        if len(induced_basis(gens, p)) != Presentation(k, p.c).hirsch_length:
+        basis = induced_basis([word_slp(w) for w in gens], p)
+        if len(basis) != Presentation(k, p.c).hirsch_length:
             hirsch_failures += 1
         done += 1
 
@@ -315,7 +319,7 @@ def test_criterion_8_tietze_stability():
         gens = [
             random_word(rng, p.m, 3, min_len=1) for _ in range(rng.randint(1, 3))
         ]
-        base = decide_undistorted(gens, p).verdict
+        base = decide_undistorted([word_slp(w) for w in gens], p).verdict
         moved = list(gens)
         for _ in range(rng.randint(1, 3)):
             kind = rng.randrange(3)
@@ -330,6 +334,6 @@ def test_criterion_8_tietze_stability():
                 moved[i] = free_reduce(
                     moved[i] + word_power(moved[j], rng.choice((1, -1)))
                 )
-        if decide_undistorted(moved, p).verdict != base:
+        if decide_undistorted([word_slp(w) for w in moved], p).verdict != base:
             flips += 1
     check(8, flips == 0, f"100 trials, {flips} verdict flips")

@@ -11,7 +11,7 @@ import nildist
 from nildist.cli import _indented_json, build_parser, main
 from nildist.presentation import Presentation
 from nildist.subgroups import decide_undistorted
-from nildist.words import parse_word
+from nildist.words import parse
 
 
 def run(capsys, *argv):
@@ -285,15 +285,53 @@ def run_limited(*argv):
 
 
 def test_nested_powers_in_word_commands():
-    word = "((a b)^100000)^100000"  # 2 * 10^10 letters
+    # every command evaluates the parsed program, so none spells the
+    # 2 * 10^10 letters
+    word = "((a b)^100000)^100000"
     result = run_limited("exponent", "-m", "2", "-c", "2", word)
     assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
-    for command in ("analyze", "measure"):
-        result = run_limited(command, "-m", "2", "-c", "2", word)
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert "cap exceeded" in result.stderr
-        assert "Traceback" not in result.stderr
+    result = run_limited("analyze", "-m", "2", "-c", "2", "--format", "text", word)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("verdict: undistorted\nk: 1\nhirsch: H=1 rH=1 F=3\n")
+    # no nontrivial element of <(ab)^(10^10)> lies in the radius-3 ball
+    result = run_limited("measure", "-m", "2", "-c", "2", "--radius", "3", word)
+    rows = "n,delta,exact\n1,0,true\n2,0,true\n3,0,true\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, rows, "")
+
+
+def test_powers_of_long_words_are_not_spelled_out():
+    # spelled and embedded one letter run at a time, these took 7-10 s
+    cases = [
+        (("analyze", "-m", "2", "-c", "2", "--format", "text", "(a b)^1000000"),
+         "verdict: undistorted\n"),
+        (("measure", "-m", "5", "-c", "2", "--radius", "2",
+          "((a c)^362880)", "a", "d^-65537"),
+         "n,delta,exact\n1,1,true\n2,2,true\n"),
+    ]
+    for argv, expected in cases:
+        start = time.monotonic()
+        result = run_limited(*argv)
+        elapsed = time.monotonic() - start
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
+        assert result.stdout.startswith(expected)
+        assert elapsed < 2
+
+
+def test_rank_one_runs_at_class_one(capsys):
+    # F(1, c) is Z for every c, so the class changes no output
+    commands = [
+        ("nf", "a^3 a^-5"),
+        ("coords", "[a,a^2] a^7"),
+        ("hall",),
+        ("analyze", "a^2", "a^-3"),
+        ("measure", "--radius", "4", "a^2"),
+    ]
+    for command, *rest in commands:
+        outputs = [
+            run(capsys, command, "-m", "1", "-c", c, *rest) for c in ("1", "20000")
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
 
 
 def test_preimage_words_stay_compressed():
@@ -353,7 +391,7 @@ def test_analyze_json_matches_the_indenting_encoder(capsys):
     # trivial, undistorted, distorted with k = 0, distorted with a witness
     for texts in (["a a^-1"], ["a^2[a,b]^3"], ["[a,b]"], ["a", "[a,b]"]):
         code, out, _ = run(capsys, "analyze", "-m", "2", "-c", "2", *texts)
-        report = decide_undistorted([parse_word(t, p) for t in texts], p)
+        report = decide_undistorted([parse(t, p) for t in texts], p)
         assert code == 0
         assert out == json.dumps(report.json_dict(), indent=2, sort_keys=True) + "\n"
     value = {"b": [], "a": {"y": [1, None, True, 'q"\u00e9'], "x": {}}, "c": [[2]]}

@@ -82,13 +82,15 @@ def _run(argv):
     )
 
 
-# every run is a fresh process: ten draws and the examples take about ten
-# seconds, most of them in the F(5,3) example and in an early draw whose
-# subgroup code embeds a 725,760-letter word one letter at a time
+# every run is a fresh process: ten draws and the examples take about six
+# seconds, two to three of them in the F(5,3) example
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(command_lines())
 # a weight-2 witness of 2.3 * 10^9 letters: it ran out of memory spelling it
 @example(["analyze", "-m", "5", "-c", "3", *F53_INPUT])
+# spelled and embedded one letter run at a time, these took 7-10 s
+@example(["analyze", "-m", "2", "-c", "2", "(a b)^1000000"])
+@example(["measure", "-m", "5", "-c", "2", "--radius", "2", "((a c)^362880)", "a", "d^-65537"])
 # 330 nested parentheses and a 1000-part bracket ran out of stack
 @example(["nf", "-m", "2", "-c", "2", "(" * 330 + "a" + ")" * 330])
 @example(["nf", "-m", "2", "-c", "2", "[" + ",".join(["a"] * 1000) + "]"])

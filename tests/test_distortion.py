@@ -14,6 +14,7 @@ from oracles import (
     heis_mul,
     random_word,
     word_ball,
+    word_slp,
 )
 from nildist import distortion
 from nildist.distortion import (
@@ -31,14 +32,14 @@ from nildist.hall import apply_step, from_coordinates, hall_basis, to_coordinate
 from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import induced_basis, member
-from nildist.words import parse_word
+from nildist.words import Slp, parse, parse_word
 
 P11 = Presentation(1, 1)
 P22 = Presentation(2, 2)
 
 
 def ambient(p):
-    return [((i, 1),) for i in range(p.m)]
+    return [Slp.letter(i) for i in range(p.m)]
 
 
 def triple_ball(gens, radius):
@@ -122,14 +123,15 @@ def test_bfs_matches_the_plain_search(case):
     # ball of radius r - 1, the same items before the same cap error
     p, gens, radius = case
     full = coordinate_items(word_ball(p, gens, radius))
-    assert _search(_bfs(p, gens, radius, len(full))) == (full, None)
+    slps = [word_slp(w) for w in gens]
+    assert _search(_bfs(p, slps, radius, len(full))) == (full, None)
     cap = len(word_ball(p, gens, radius - 1)) + 1
     try:
         word_ball(p, gens, radius, cap)
         expected = (full, None)
     except CapExceededError as err:
         expected = (full[:cap], str(err))
-    assert _search(_bfs(p, gens, radius, cap)) == expected
+    assert _search(_bfs(p, slps, radius, cap)) == expected
 
 
 def test_ambient_products_only_step_outward(monkeypatch):
@@ -224,14 +226,14 @@ def sift_cases(draw):
 @given(sift_cases())
 def test_sift_agrees_with_member(case):
     p, gens, x = case
-    basis = induced_basis(gens, p)
+    basis = induced_basis([word_slp(w) for w in gens], p)
     expected = member(basis, from_coordinates(x, p))
     half = hall_basis(p).block(p.c // 2 + 1).start
     assert _sift(x, basis, _step_cache(p), {}, half) == expected
 
 
 def test_measure_central_cyclic_subgroup():
-    table = measure_distortion([parse_word("[a,b]", P22)], P22, 6)
+    table = measure_distortion([parse("[a,b]", P22)], P22, 6)
     assert [row.delta for row in table.rows] == [0, 0, 0, 1, 1, 2]
     assert table.complete
 
@@ -248,19 +250,19 @@ def test_measure_central_cyclic_subgroup():
 
 
 def test_measure_whole_group_is_linear():
-    table = measure_distortion([parse_word("a", P22), parse_word("b", P22)], P22, 6)
+    table = measure_distortion([parse("a", P22), parse("b", P22)], P22, 6)
     assert [row.delta for row in table.rows] == [1, 2, 3, 4, 5, 6]
     assert table.complete
 
 
 def test_measure_free_abelian_cyclic():
-    table = measure_distortion([parse_word("a", P22)], P22, 5)
+    table = measure_distortion([parse("a", P22)], P22, 5)
     assert [row.delta for row in table.rows] == [1, 2, 3, 4, 5]
     assert table.complete
 
 
 def test_measure_finite_index_subgroup():
-    table = measure_distortion([parse_word("a^2", P22), parse_word("b^2", P22)], P22, 4)
+    table = measure_distortion([parse("a^2", P22), parse("b^2", P22)], P22, 4)
     oracle = triple_ball([HEIS_A, HEIS_B], 4)
     sub_oracle = triple_ball(
         [heis_mul(HEIS_A, HEIS_A), heis_mul(HEIS_B, HEIS_B)], 12
@@ -278,14 +280,14 @@ def test_measure_finite_index_subgroup():
 
 
 def test_measure_trivial_subgroup():
-    table = measure_distortion([()], P22, 3)
+    table = measure_distortion([parse("1", P22)], P22, 3)
     assert [row.delta for row in table.rows] == [0, 0, 0]
     assert table.complete
 
 
 def test_measure_flags_truncated_rows():
     table = measure_distortion(
-        [parse_word("a^2", P22), parse_word("b^2", P22)],
+        [parse("a^2", P22), parse("b^2", P22)],
         P22,
         4,
         subgroup_radius_cap=1,
@@ -297,7 +299,7 @@ def test_measure_flags_truncated_rows():
 def test_measure_flags_rows_when_subgroup_search_hits_element_cap():
     # b = (b a^10) a^-10 has subgroup length 11, far beyond the 53 elements
     # the cap (the size of the radius-3 ambient ball) lets the search visit
-    gens = [parse_word("a", P22), parse_word("b a^10", P22)]
+    gens = [parse("a", P22), parse("b a^10", P22)]
     table = measure_distortion(gens, P22, 3, max_elements=53)
     assert [row.exact for row in table.rows] == [False, False, False]
     assert [row.delta for row in table.rows] == [1, 2, 3]
@@ -321,7 +323,7 @@ def test_estimated_exponent_on_synthetic_tables():
 def test_estimated_exponent_for_central_cyclic():
     # the subgroup has exact distortion exponent 2; the fitted slope should
     # agree within 0.4 once the table is deep enough
-    table = measure_distortion([parse_word("[a,b]", P22)], P22, 12)
+    table = measure_distortion([parse("[a,b]", P22)], P22, 12)
     slope = estimate_exponent(table)
     assert 1.6 < slope < 2.4
 
@@ -339,7 +341,7 @@ def test_delta_is_monotone():
     rng = random.Random(103)
     for _ in range(6):
         gens = [random_word(rng, 2, 3, min_len=1) for _ in range(rng.randint(1, 2))]
-        table = measure_distortion(gens, P22, 5)
+        table = measure_distortion([word_slp(w) for w in gens], P22, 5)
         deltas = [row.delta for row in table.rows]
         assert deltas == sorted(deltas)
         assert all(not math.isnan(row.delta) for row in table.rows)

@@ -18,7 +18,7 @@ from nildist.hall import (
 )
 from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
-from nildist.words import parse_word
+from nildist.words import parse, parse_word
 
 GROUPS = [
     (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4), (5, 3),
@@ -173,7 +173,7 @@ def test_measure_derives_the_subgroup_maps_once(monkeypatch):
         letters = {embed(((i, sign),), p) for i in range(m) for sign in (1, -1)}
         letter_steps(p)
         derived.clear()
-        distortion.measure_distortion([parse_word(w, p) for w in words], p, 4)
+        distortion.measure_distortion([parse(w, p) for w in words], p, 4)
         assert derived
         assert len(set(derived)) == len(derived)
         assert not letters & set(derived)

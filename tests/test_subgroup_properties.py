@@ -1,5 +1,5 @@
 """Property tests of subgroup elimination on random 2-3-generator subgroups
-of F(2..3, 2..3) and F(2, 4): preimage words spell their elements, every
+of F(2..3, 2..3) and F(2, 4): entries' words spell their elements, every
 distorted verdict carries a certificate, the verdict's invariants do not
 depend on how the subgroup and the ambient group are presented nor on an
 automorphism of the ambient group, the retraction, the abelianization and
@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 
 from oracles import (
     bareiss_rank,
+    commutator_word,
     conjugation_normal,
     every_pair_basis,
     exponent_vector,
     greedy_member,
+    invert_word,
     retract_word,
+    substitute,
     two_elimination_decision,
+    word_slp,
 )
-from nildist.magnus import commutator, embed, multiply
+from nildist.magnus import commutator, embed, evaluate, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import (
     DEFAULT_MAX_EVENTS,
@@ -33,7 +37,7 @@ from nildist.subgroups import (
     induced_basis,
     member,
 )
-from nildist.words import commutator_word, free_reduce, invert_word, substitute
+from nildist.words import free_reduce
 
 GROUPS = tuple(Presentation(m, c) for m, c in ((2, 2), (2, 3), (3, 2), (3, 3)))
 INVARIANCE_GROUPS = GROUPS + (Presentation(2, 4),)
@@ -41,6 +45,10 @@ AUTOMORPHISM_GROUPS = tuple(Presentation(m, c) for m, c in ((2, 3), (2, 4), (3, 
 LETTER_GROUPS = tuple(Presentation(m, c) for m in (2, 3) for c in (2, 3, 4))
 
 SUBGROUPS = settings(max_examples=100, deadline=None)
+
+
+def slps(gens):
+    return [word_slp(w) for w in gens]
 
 
 def _generators(p):
@@ -61,20 +69,23 @@ def subgroups(draw):
 @given(subgroups())
 def test_expanded_preimages_spell_their_elements(case):
     p, gens = case
-    basis = induced_basis(gens, p)
+    basis = induced_basis(slps(gens), p)
     for t in basis.entries:
+        assert evaluate(t.word, p) == t.element
+        # the words are programs over the generators' own: they spell the
+        # elements in the ambient letters
         word = t.word.expand()
         assert len(t.word) >= len(word)
-        assert embed(substitute(word, gens), p) == t.element
+        assert embed(word, p) == t.element
     for rel in basis.relations:
-        assert embed(substitute(rel.expand(), gens), p).is_identity()
+        assert embed(rel.expand(), p).is_identity()
 
 
 @SUBGROUPS
 @given(subgroups())
 def test_distorted_witnesses_are_certified(case):
     p, gens = case
-    report = decide_undistorted(gens, p)
+    report = decide_undistorted(slps(gens), p)
     if report.verdict != "distorted" or report.k == 0:
         return
     assert report.kernel_witness is not None
@@ -82,7 +93,7 @@ def test_distorted_witnesses_are_certified(case):
     g = embed(word, p)
     assert not g.is_identity()
     assert g.weight() == wt
-    assert member(induced_basis(gens, p), g)
+    assert member(induced_basis(slps(gens), p), g)
     retraction = build_retraction(abelianized_basis([embed(w, p) for w in gens], p), p)
     assert retraction(g).is_identity()
 
@@ -116,9 +127,9 @@ def test_polynomial_retraction_and_abelianization_match_letters(case):
 @given(subgroups())
 def test_normality_matches_two_sided_conjugation(case):
     p, gens = case
-    report = decide_undistorted(gens, p)
+    report = decide_undistorted(slps(gens), p)
     elements = [embed(w, p) for w in gens]
-    assert report.normal == conjugation_normal(induced_basis(gens, p), elements, p)
+    assert report.normal == conjugation_normal(induced_basis(slps(gens), p), elements, p)
 
 
 def _invariants(report):
@@ -153,9 +164,9 @@ def moved_subgroups(draw):
 @given(moved_subgroups())
 def test_verdict_invariants_survive_moves(case):
     p, gens, moved = case
-    base = _invariants(decide_undistorted(gens, p))
+    base = _invariants(decide_undistorted(slps(gens), p))
     for other in moved:
-        assert _invariants(decide_undistorted(other, p)) == base
+        assert _invariants(decide_undistorted(slps(other), p)) == base
 
 
 @st.composite
@@ -193,8 +204,8 @@ def test_verdict_invariants_survive_ambient_automorphisms(case):
         weight = report.kernel_witness and report.kernel_witness[1]
         return verdict, k, hirsch_H, finite_index, normal, exponent, weight
 
-    base = invariants(decide_undistorted(gens, p))
-    assert invariants(decide_undistorted(moved, p)) == base
+    base = invariants(decide_undistorted(slps(gens), p))
+    assert invariants(decide_undistorted(slps(moved), p)) == base
 
 
 @SUBGROUPS
@@ -203,7 +214,7 @@ def test_one_elimination_decides_as_two(case):
     # the invariants equal those of eliminating H and r(H) apart, and the
     # lightest kernel entry is never heavier than the scanned relations
     p, gens = case
-    report = decide_undistorted(gens, p)
+    report = decide_undistorted(slps(gens), p)
     oracle = two_elimination_decision(gens, p)
     keys = ("verdict", "k", "H", "rH", "finite_index", "normal", "cyclic_exponent")
     assert _invariants(report) == tuple(oracle[key] for key in keys)
@@ -221,7 +232,7 @@ def test_pullback_slots_split_H_into_rH_and_the_kernel(case, data):
     ab = abelianized_basis(elements, p)
     assume(ab.k > 0)
     r = build_retraction(ab, p)
-    basis = _eliminate(elements, p, DEFAULT_MAX_EVENTS, _pullback_lead(r))
+    basis = _eliminate(slps(gens), elements, p, DEFAULT_MAX_EVENTS, _pullback_lead(r))
     shift = r.target.hirsch_length
     kernel = [basis.slot(j) for j in range(shift, shift + p.hirsch_length)]
     kernel = [t for t in kernel if t is not None]
@@ -230,7 +241,7 @@ def test_pullback_slots_split_H_into_rH_and_the_kernel(case, data):
     assert len(basis) - len(kernel) == oracle["rH"]
     assert all(r(t.element).is_identity() for t in kernel)
     # membership along the pullback series is membership in H
-    plain = induced_basis(gens, p)
+    plain = induced_basis(slps(gens), p)
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     for word in data.draw(st.lists(st.lists(letter, max_size=6), max_size=4)):
         g = embed(tuple(word), p)
@@ -243,7 +254,7 @@ def test_pullback_slots_split_H_into_rH_and_the_kernel(case, data):
 @given(subgroups())
 def test_skipping_displaced_pairs_keeps_the_standard_basis(case):
     p, gens = case
-    ours = induced_basis(gens, p).entries
+    ours = induced_basis(slps(gens), p).entries
     theirs = every_pair_basis([embed(w, p) for w in gens], p).entries
     assert [(t.pivot, t.value, t.coords) for t in ours] == [
         (t.pivot, t.value, t.coords) for t in theirs
@@ -257,12 +268,12 @@ def test_member_matches_greedy_reduction_on_every_series(case, data):
     # and on the pullback basis alike; greedy_member reads no lattice
     p, gens = case
     elements = [embed(w, p) for w in gens]
-    plain = induced_basis(gens, p)
+    plain = induced_basis(slps(gens), p)
     bases = [plain]
     ab = abelianized_basis(elements, p)
     if ab.k:
         lead = _pullback_lead(build_retraction(ab, p))
-        bases.append(_eliminate(elements, p, DEFAULT_MAX_EVENTS, lead))
+        bases.append(_eliminate(slps(gens), elements, p, DEFAULT_MAX_EVENTS, lead))
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     in_h = st.tuples(st.integers(0, len(gens) - 1), st.sampled_from((1, -1)))
     for word in data.draw(st.lists(st.lists(in_h, max_size=5), max_size=3)):

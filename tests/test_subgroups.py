@@ -8,13 +8,16 @@ from oracles import (
     conjugation_normal,
     element_ball,
     exponent_vector,
+    invert_word,
     random_word,
     retract_word,
+    word_power,
+    word_slp,
 )
 from nildist import distortion, subgroups
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
-from nildist.magnus import embed, identity, inverse, multiply
+from nildist.magnus import embed, evaluate, identity, inverse, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import (
     abelianized_basis,
@@ -24,13 +27,7 @@ from nildist.subgroups import (
     induced_basis,
     member,
 )
-from nildist.words import (
-    free_reduce,
-    invert_word,
-    parse_word,
-    substitute,
-    word_power,
-)
+from nildist.words import free_reduce, parse, parse_word
 
 P22 = Presentation(2, 2)
 P23 = Presentation(2, 3)
@@ -38,11 +35,11 @@ P32 = Presentation(3, 2)
 
 
 def words(p, *texts):
-    return [parse_word(t, p) for t in texts]
+    return [parse(t, p) for t in texts]
 
 
 def elements(p, *texts):
-    return [embed(w, p) for w in words(p, *texts)]
+    return [evaluate(w, p) for w in words(p, *texts)]
 
 
 def test_exponent_vector():
@@ -92,8 +89,9 @@ def test_retraction_partitions_generators():
     r = build_retraction(ab, P22)
     assert r.kept == (0,)
     assert r.killed == (1,)
+    # the target has rank 1, so it is Z and carries class 1
     assert r.target.m == 1
-    assert r.target.c == 2
+    assert r.target.c == 1
     assert r.target.names == ("a",)
 
     with pytest.raises(ValueError):
@@ -152,7 +150,7 @@ def test_induced_basis_fixtures():
     basis = induced_basis(words(P22, "[a,b]"), P22)
     assert [(e.pivot, e.coords) for e in basis.entries] == [(2, (0, 0, 1))]
 
-    basis = induced_basis([()], P22)
+    basis = induced_basis(words(P22, "1"), P22)
     assert len(basis) == 0
 
 
@@ -164,7 +162,7 @@ def test_induced_basis_shape_invariants():
                 random_word(rng, p.m, 4, min_len=1)
                 for _ in range(rng.randint(1, 3))
             ]
-            basis = induced_basis(gens, p)
+            basis = induced_basis([word_slp(w) for w in gens], p)
             pivots = [e.pivot for e in basis.entries]
             assert pivots == sorted(pivots)
             assert len(set(pivots)) == len(pivots)
@@ -178,12 +176,12 @@ def test_induced_basis_shape_invariants():
             # every generator reduces to nothing against the basis
             for w in gens:
                 assert member(basis, embed(w, p))
-            # each entry's word really spells the entry out of the generators
+            # each entry's word is a program for the entry
             for t in basis.entries:
-                assert embed(substitute(t.word.expand(), gens), p) == t.element
-            # relations spell the identity out of the generators
+                assert evaluate(t.word, p) == t.element
+            # relations are programs for the identity
             for rel in basis.relations:
-                assert embed(substitute(rel.expand(), gens), p).is_identity()
+                assert evaluate(rel, p).is_identity()
 
 
 def test_member_fixtures():
@@ -251,9 +249,10 @@ def test_member_inside_the_derived_subgroup():
 
 def test_member_on_the_pullback_series_rejects_on_the_abelianization():
     # H = <a, [a,b]^2>, eliminated along the series that decide uses
-    els = elements(P22, "a", "[a,b]^2")
+    gens = words(P22, "a", "[a,b]^2")
+    els = [evaluate(w, P22) for w in gens]
     r = build_retraction(abelianized_basis(els, P22), P22)
-    basis = subgroups._eliminate(els, P22, 10**4, subgroups._pullback_lead(r))
+    basis = subgroups._eliminate(gens, els, P22, 10**4, subgroups._pullback_lead(r))
     calls = _counting_leads(basis)
     assert not member(basis, embed(parse_word("b", P22), P22))
     assert not member(basis, embed(parse_word("a^3 b^-1", P22), P22))
@@ -294,7 +293,7 @@ def test_member_against_brute_force_closure():
         gens = [
             random_word(rng, p.m, 3, min_len=1) for _ in range(rng.randint(1, 2))
         ]
-        basis = induced_basis(gens, p)
+        basis = induced_basis([word_slp(w) for w in gens], p)
         closure = closure_products([embed(w, p) for w in gens], 4)
         ball = element_ball(p, 3)
         for g in ball:
@@ -326,7 +325,7 @@ def test_independent_generators_give_free_image():
         vecs = [exponent_vector(w, p.m) for w in gens]
         if bareiss_rank(vecs) != k:
             continue
-        basis = induced_basis(gens, p)
+        basis = induced_basis([word_slp(w) for w in gens], p)
         assert len(basis) == Presentation(k, p.c).hirsch_length
         done += 1
 
@@ -414,8 +413,8 @@ def test_decide_distorted_with_positive_rank():
 
 def test_decide_checks_the_witness_certificate(monkeypatch):
     # a witness that the retraction does not kill is refused, not reported
-    spoiled = lambda word, gens: substitute(word, gens) + ((0, 1),)
-    monkeypatch.setattr(subgroups, "substitute", spoiled)
+    spoiled = lambda word: free_reduce(word) + ((0, 1),)
+    monkeypatch.setattr(subgroups, "free_reduce", spoiled)
     with pytest.raises(InternalInconsistencyError):
         decide_undistorted(words(P22, "a", "[a,b]"), P22)
 
@@ -424,9 +423,10 @@ def test_kernel_witness_must_lie_in_the_subgroup():
     # H = <a, [a,b]^2> meets the kernel of the retraction that kills b in
     # <[a,b]^2>: [a,b] dies under it but lies outside H, and a lies in H but
     # survives it; the check runs on the basis along the pullback series
-    els = elements(P22, "a", "[a,b]^2")
+    gens = words(P22, "a", "[a,b]^2")
+    els = [evaluate(w, P22) for w in gens]
     retraction = build_retraction(abelianized_basis(els, P22), P22)
-    basis = subgroups._eliminate(els, P22, 10**4, subgroups._pullback_lead(retraction))
+    basis = subgroups._eliminate(gens, els, P22, 10**4, subgroups._pullback_lead(retraction))
     for word, message in (
         (parse_word("[a,b]", P22), "outside H"),
         (parse_word("a", P22), "survives"),
@@ -439,7 +439,7 @@ def test_kernel_witness_must_lie_in_the_subgroup():
 
 
 def test_decide_trivial_subgroup():
-    report = decide_undistorted([(), parse_word("a a^-1", P22)], P22)
+    report = decide_undistorted(words(P22, "1", "a a^-1"), P22)
     assert report.verdict == "trivial"
     # the trivial subgroup has infinite index: H = 1 is never all of F
     assert report.finite_index is False
@@ -488,7 +488,7 @@ def test_normal_infinite_index_forces_distortion():
     for _ in range(40):
         p = (P22, P23)[rng.randrange(2)]
         gens = [random_word(rng, p.m, 3, min_len=1) for _ in range(rng.randint(1, 2))]
-        report = decide_undistorted(gens, p)
+        report = decide_undistorted([word_slp(w) for w in gens], p)
         if report.normal and not report.finite_index and report.verdict != "trivial":
             assert report.verdict == "distorted"
 
@@ -515,7 +515,7 @@ def test_verdict_survives_tietze_moves():
     for _ in range(25):
         p = (P22, P23)[rng.randrange(2)]
         gens = [random_word(rng, p.m, 3, min_len=1) for _ in range(rng.randint(1, 3))]
-        base = decide_undistorted(gens, p).verdict
+        base = decide_undistorted([word_slp(w) for w in gens], p).verdict
         moved = [list(w) for w in gens]
         for _ in range(rng.randint(1, 3)):
             kind = rng.randrange(3)
@@ -532,7 +532,7 @@ def test_verdict_survives_tietze_moves():
                         tuple(moved[i]) + word_power(tuple(moved[j]), rng.choice((1, -1)))
                     )
                 )
-        assert decide_undistorted([tuple(w) for w in moved], p).verdict == base
+        assert decide_undistorted([word_slp(tuple(w)) for w in moved], p).verdict == base
 
 
 def test_event_cap_is_enforced():

@@ -15,15 +15,12 @@ from nildist.words import (
     MAX_LETTERS,
     MAX_NESTING,
     Slp,
-    commutator_word,
     format_word,
     free_reduce,
-    invert_word,
     parse,
     parse_word,
-    substitute,
-    word_power,
 )
+from oracles import commutator_word, invert_word, substitute, word_power
 
 P22 = Presentation(2, 2)
 P32 = Presentation(3, 2)
@@ -122,8 +119,14 @@ def test_inverted_letters_are_shared():
     # one tuple per inverted letter, however long the word
     word = parse_word("(a b^-1)^1000", P22)
     inverse = invert_word(word)
-    assert inverse == tuple((i, -s) for i, s in reversed(word))
-    assert len({id(letter) for letter in inverse}) == 2
+    for text, expected in (
+        ("(a b^-1)^-1000", inverse),
+        ("((a b^-1)^1000)^-1", inverse),
+        ("[(a b^-1)^1000, 1]", inverse + word),
+    ):
+        spelled = parse_word(text, P22)
+        assert spelled == expected
+        assert len({id(letter) for letter in spelled}) == len(set(spelled))
 
 
 def test_parse_word_refuses_words_past_the_letter_cap():
