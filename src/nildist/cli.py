@@ -2,6 +2,11 @@
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed words),
 2 when a resource cap is exceeded, 3 on internal inconsistencies.
+
+Dispatch: when the first argument names a command, the rest go straight to
+that command's own parser, one argparse pass; anything else (no arguments,
+-h, an unknown command) goes to the full parser, which prints the same
+help and the same messages the command parsers do.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ def build_parser() -> _ArgumentParser:
         description="exact subgroup distortion toolkit for free nilpotent groups",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # the command parsers by name, for main's one-pass dispatch
+    parser.commands = sub.choices
 
     sp = sub.add_parser("nf", parents=[common], help="normal form of a word")
     sp.add_argument("word")
@@ -113,7 +120,9 @@ def _element(text, presentation):
 def _indented_json(value, depth=0) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte.  The
     indenting encoder is pure Python and leaves a reference cycle behind on
-    every call; json.dumps of a scalar takes the C path and leaves none."""
+    every call.  Ints, bools and None are spelled here as json spells them
+    (bool first, as a bool is an int); json.dumps of a string takes the C
+    path and leaves none."""
     if isinstance(value, dict):
         brackets = "{}"
         items = [
@@ -123,6 +132,12 @@ def _indented_json(value, depth=0) -> str:
     elif isinstance(value, list):
         brackets = "[]"
         items = [_indented_json(v, depth + 1) for v in value]
+    elif value is None:
+        return "null"
+    elif isinstance(value, bool):
+        return "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
     else:
         return json.dumps(value)
     if not items:
@@ -254,8 +269,15 @@ def _run(args) -> str:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is not None:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("no command given (try --help)")
         print(_run(args))

@@ -1,7 +1,7 @@
 """Exact integer matrix algebra.
 
-Row-style Hermite normal form with unimodular transformation tracking, rank,
-and integral linear solving against one fixed matrix (RepeatedSolver).
+Row-style Hermite normal form with unimodular transformation tracking, and
+integral linear solving against one fixed matrix (RepeatedSolver).
 Everything runs on arbitrary-precision integers; pivots are chosen by least
 absolute value to keep intermediate entries small.
 """
@@ -62,12 +62,6 @@ def hermite_normal_form(rows) -> tuple[list[list[int]], list[list[int]]]:
     h = [list(row) for row in rows]
     u = _hnf_lists(h)
     return h, u
-
-
-def rank(rows) -> int:
-    h = [list(row) for row in rows]
-    _hnf_lists(h)
-    return sum(1 for row in h if any(row))
 
 
 class RepeatedSolver:

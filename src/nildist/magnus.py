@@ -32,7 +32,10 @@ the pair loop walks only the rows; the copy needs a left operand with
 nothing above the cutoff, so commutator truncates h before it forms hg.
 embed and evaluate start a product from its first factor, and evaluate walks
 a straight-line program (a parsed word) bottom-up without expanding it, one
-power per power node and one commutator per bracket.
+power per power node and one commutator per bracket.  A letter power needs
+no product at all: (1 + x_i)^n = sum_k C(n, k) x_i^k, so _letter_power
+writes its terms down at once, for a letter (n = 1), a power node over a
+letter and each run of equal letters that embed reads.
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
@@ -134,12 +137,13 @@ class GroupElement:
     the kernel pays one add per term pair.  The degree is read from the bit
     length, and keys order by degree, then lexicographically.
 
-    terms is never changed after construction, so the hash and the degree
-    rows the kernel reads of a right operand are computed once, on first
-    use, and kept; the rows hold every degree, so any cutoff can read them.
+    terms is never changed after construction, so the hash, the weight and
+    the degree rows the kernel reads of a right operand are computed once,
+    on first use, and kept; the rows hold every degree, so any cutoff can
+    read them.
     """
 
-    __slots__ = ("presentation", "terms", "_hash", "_rows")
+    __slots__ = ("presentation", "terms", "_hash", "_rows", "_weight")
 
     def __init__(self, presentation: Presentation, terms: dict):
         if terms.get(1, 0) != 1:
@@ -148,6 +152,7 @@ class GroupElement:
         self.terms = terms
         self._hash = None
         self._rows = None
+        self._weight = None
 
     @property
     def rows(self) -> list:
@@ -163,11 +168,14 @@ class GroupElement:
         return len(self.terms) == 1
 
     def weight(self):
-        if self.is_identity():
-            return math.inf
-        # keys order by degree, and 1 is the least
-        lowest = min(k for k in self.terms if k != 1)
-        return degree(lowest, self.presentation.letter_bits)
+        if self._weight is None:
+            if self.is_identity():
+                self._weight = math.inf
+            else:
+                # keys order by degree, and 1 is the least
+                lowest = min(k for k in self.terms if k != 1)
+                self._weight = degree(lowest, self.presentation.letter_bits)
+        return self._weight
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -222,20 +230,23 @@ def identity(presentation: Presentation) -> GroupElement:
     return GroupElement(presentation, {1: 1})
 
 
-# one entry per letter and sign: 2m <= 20 per presentation of class >= 2
-# under the default Hirsch cap
+# a word's letters and letter powers recur from word to word: 20 per
+# presentation, for as many presentations as the other caches keep
 @lru_cache(maxsize=20 * CACHED_PRESENTATIONS)
-def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupElement:
+def _letter_power(presentation: Presentation, index: int, n: int) -> GroupElement:
+    """The image of letter index to the power n, any integer n: the terms
+    C(n, k) x^k of (1 + x)^n, k = 0..c, that do not vanish."""
     if not 0 <= index < presentation.m:
         raise ValueError(f"letter index {index} out of range")
     bits = presentation.letter_bits
-    if sign > 0:
-        terms = {1: 1, monomial_key((index,), bits): 1}
-    else:
-        terms = {
-            monomial_key((index,) * k, bits): (-1) ** k
-            for k in range(presentation.c + 1)
-        }
+    terms = {}
+    key, coeff = 1, 1
+    for k in range(1, presentation.c + 2):
+        if not coeff:
+            break  # C(n, k) = 0 from k = n + 1 on, for n >= 0
+        terms[key] = coeff
+        key = key << bits | index  # x^(k-1) -> x^k
+        coeff = coeff * (n - k + 1) // k  # C(n, k), exact for negative n too
     return GroupElement(presentation, terms)
 
 
@@ -246,12 +257,12 @@ def _product(factors: Iterator[GroupElement], p: Presentation) -> GroupElement:
 
 
 def embed(word: Word, presentation: Presentation) -> GroupElement:
-    """Image of a letter sequence; a run of equal letters is one power."""
+    """Image of a letter sequence; a run of equal letters is one letter power."""
     runs = (
-        (_letter_image(presentation, index, sign), len(list(run)))
+        _letter_power(presentation, index, sign * len(list(run)))
         for (index, sign), run in groupby(word)
     )
-    return _product((g if n == 1 else power(g, n) for g, n in runs), presentation)
+    return _product(runs, presentation)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -329,9 +340,13 @@ def evaluate(word: Slp, presentation: Presentation) -> GroupElement:
     for node in word.nodes():
         kind, a = node.kind, node.a
         if kind == "letter":
-            value = _letter_image(presentation, a, 1)
+            value = _letter_power(presentation, a, 1)
         elif kind == "power":
-            value = power(values[node.parts[0]], a)
+            base = node.parts[0]
+            if base.kind == "letter":
+                value = _letter_power(presentation, base.a, a)
+            else:
+                value = power(values[base], a)
         elif kind == "concat":
             value = _product(map(values.__getitem__, node.parts), presentation)
         elif kind == "commutator":

@@ -27,7 +27,10 @@ entry has been displaced since is skipped: by the induced-sequence
 criterion (Sims, Computation with Finitely Presented Groups, ch. 9) the
 sequence is closed once the commutator of every two final entries is
 inserted, each such pair is queued when its later entry is installed, and
-a displaced entry is reinserted, so it is a product of later entries.  The
+a displaced entry is reinserted, so it is a product of later entries.  A
+pair whose entries' weights sum past c is skipped too, never commuted: the
+commutator lies in gamma_{i+j} for entries in gamma_i and gamma_j (P. Hall),
+which is trivial past c, so it would only add an identity relation.  The
 number of entries is the Hirsch length.  On the ambient series a lead is
 one solve at the element's weight w (the blocks below w are zero, block w
 is not), and none after a reduction step that leaves the pivot value
@@ -52,7 +55,9 @@ with a pivot in D map to a standard basis of r(H), the others form one of
 H \cap N, and the lightest of those, of least weight in H \cap N, is the
 kernel witness, checked to be nontrivial, to lie in H and to die under r.
 Membership along this series is membership in H, so H is normal exactly
-when it holds the commutator of each generator with each ambient letter.
+when it holds the commutator of each generator with each ambient letter;
+a generator of weight c commutes with every letter, so its pairs are never
+formed.
 With k = 0 there is no retraction, H is distorted, the ambient series
 serves, and a lightest generator is the witness.
 
@@ -66,11 +71,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import CapExceededError, InternalInconsistencyError
 from .hall import _block_exponents, hall_basis, to_coordinates
-from .intmat import RepeatedSolver, hermite_normal_form, rank
+from .intmat import RepeatedSolver, hermite_normal_form
 from .magnus import (
     GroupElement,
     commutator,
@@ -83,7 +88,7 @@ from .magnus import (
     multiply,
     power,
 )
-from .presentation import Presentation
+from .presentation import CACHED_PRESENTATIONS, Presentation
 from .words import Slp, Word, free_reduce, format_word
 
 DEFAULT_MAX_EVENTS = 10**6
@@ -97,17 +102,17 @@ class AbelianizedBasis:
 
 
 def abelianized_basis(elements, presentation: Presentation) -> AbelianizedBasis:
+    """k and the greedy completion (see "Rank and completion") from one
+    Hermite form.  Unit vectors complete the abelianized generators' row
+    space to rank m exactly when the other columns are independent on it,
+    so the greedy completion, smallest index first, is the complement of the
+    column basis chosen greedily from the last column down: the pivot
+    columns of an echelon form with the columns reversed."""
     m = presentation.m
-    h, _ = hermite_normal_form([exponent_sums(g) for g in elements])
-    base_rows = [row for row in h if any(row)]
-    k = len(base_rows)
-    unit = [[int(i == j) for j in range(m)] for i in range(m)]
-    completion: list[int] = []
-    for j in range(m):
-        stacked = base_rows + [unit[i] for i in completion + [j]]
-        if len(stacked) <= m and rank(stacked) == len(stacked):
-            completion.append(j)
-    return AbelianizedBasis(presentation, k, tuple(completion))
+    h, _ = hermite_normal_form([exponent_sums(g)[::-1] for g in elements])
+    kept = {m - 1 - next(j for j, v in enumerate(row) if v) for row in h if any(row)}
+    completion = tuple(j for j in range(m) if j not in kept)
+    return AbelianizedBasis(presentation, len(kept), completion)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class Retraction:
     def _keys(self) -> dict[int, int]:
         """Every source monomial key of degree <= c mapped to the target key
         of its image, or to 0 when the monomial holds a killed index.  It
-        lives as long as the retraction, one per decision."""
+        lives as long as the retraction, which build_retraction caches."""
         sbits, tbits = self.source.letter_bits, self.target.letter_bits
         image = {amb: monomial_key((i,), tbits) for i, amb in enumerate(self.kept)}
         # (source key, target key) per letter, 0 for a killed one
@@ -160,7 +165,14 @@ def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Ret
         raise ValueError(
             "the subgroup lies inside the derived subgroup; no retraction exists"
         )
-    killed = basis.completion
+    return _retraction(presentation, basis.completion)
+
+
+# a presentation of rank m has fewer than 2^m kill sets, and decisions in
+# one group meet few of them: 4 per presentation the other caches keep
+@lru_cache(maxsize=4 * CACHED_PRESENTATIONS)
+def _retraction(presentation: Presentation, killed: tuple[int, ...]) -> Retraction:
+    """The retraction killing the letters killed, with its key table."""
     kept = tuple(i for i in range(presentation.m) if i not in killed)
     names = tuple(presentation.names[i] for i in kept)
     target = Presentation(len(kept), presentation.c, names, presentation.max_hirsch)
@@ -211,7 +223,11 @@ class SubgroupStandardBasis:
     carries its pivot and pivot value, its coordinate vector (peeled on first
     read) and its word, a words.Slp over the generators' own programs that
     expand() spells in the ambient letters.  relations collects the words
-    that collapsed to the identity during elimination.
+    that collapsed to the identity during elimination.  A weight-dead pair
+    (see "Standard bases") is never commuted, so its identity word is not
+    among them, nor counted by perfbench's subgroups.induced_basis.relations,
+    and it spends one event toward max_events where a commuted pair spends
+    two.
     """
 
     def __init__(self, eliminator):
@@ -301,6 +317,7 @@ class _Eliminator:
             element, word, lead = current.element, current.word, (j, current.value)
 
     def run(self):
+        c = self.presentation.c
         while self.queue:
             self._tick()
             item = self.queue.popleft()
@@ -308,6 +325,8 @@ class _Eliminator:
                 ea, eb = item
                 if self.slots[ea.pivot] is not ea or self.slots[eb.pivot] is not eb:
                     continue  # displaced since queued: see "Standard bases"
+                if ea.element.weight() + eb.element.weight() > c:
+                    continue  # weight-dead: see "Standard bases"
                 element = commutator(ea.element, eb.element)
                 word = Slp.commutator(ea.word, eb.word)
             else:
@@ -403,9 +422,16 @@ def _is_normal(basis: SubgroupStandardBasis, elements, presentation) -> bool:
     # does.  That already gives a^-1 H a = H: the chain H, a H a^-1,
     # a^2 H a^-2, ... ascends, and every ascending chain of subgroups of a
     # finitely generated nilpotent group stabilizes.  So one commutator per
-    # (generator, letter) decides, and inverse letters need none.
+    # (generator, letter) decides, and inverse letters need none.  A
+    # generator of weight c (or the identity) commutes with every letter.
     letters = [embed(((i, 1),), presentation) for i in range(presentation.m)]
-    return all(member(basis, commutator(g, a)) for g in elements for a in letters)
+    c = presentation.c
+    return all(
+        member(basis, commutator(g, a))
+        for g in elements
+        if g.weight() < c
+        for a in letters
+    )
 
 
 def _pullback_lead(retraction: Retraction):

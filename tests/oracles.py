@@ -278,6 +278,17 @@ def bareiss_rank(rows):
     return r
 
 
+def greedy_completion(vectors, m):
+    """The unit vectors, smallest index first, that each raise the rank of
+    vectors and the units taken before: the completion letters."""
+    taken = []
+    for j in range(m):
+        unit = [int(i == j) for i in range(m)]
+        if bareiss_rank([*vectors, *taken, unit]) > bareiss_rank([*vectors, *taken]):
+            taken.append(unit)
+    return tuple(unit.index(1) for unit in taken)
+
+
 def matmul(a, b):
     """Product of two matrices given as sequences of rows, as a list of lists."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]

@@ -267,6 +267,67 @@ def test_parser_is_built_once_and_reused(capsys):
         assert run(capsys, *argv) == result
 
 
+COMMANDS = ("nf", "mul", "comm", "weight", "coords", "hall", "analyze", "exponent", "measure")
+
+
+def run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); -h exits through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
+    # a first argument that names a command skips the top-level parser; every
+    # other call, and every message, is the full parser's
+    argvs = [
+        (),
+        ("-h",),
+        ("bogus", "-m", "2", "-c", "2", "a"),
+        *((command, "-h") for command in COMMANDS),
+        ("analyze", "-c", "2", "a"),
+        ("analyze", "-m", "2", "-c", "2", "--bogus", "a"),
+        ("analyze", "-m", "2", "-c", "2", "--format", "csv", "a"),
+        ("analyze", "-m", "2", "-c", "2", "[a"),
+        ("analyze", "-m", "3", "-c", "9", "a"),
+        ("analyze", "-m", "2", "-c", "3", "--format", "text", "a", "[a,b]"),
+        ("measure", "-m", "2", "-c", "2", "[a,b]", "--radius", "3"),
+    ]
+    dispatched = [run_or_exit(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(build_parser(), "commands", {})
+    full = [run_or_exit(capsys, argv) for argv in argvs]
+    assert dispatched == full
+    codes = [code for code, _, _ in full]
+    assert codes[:3] == [1, ("exit", 0), 1]
+    assert codes[3 : 3 + len(COMMANDS)] == [("exit", 0)] * len(COMMANDS)
+    assert codes[3 + len(COMMANDS) :] == [1, 1, 1, 1, 2, 0, 0]
+
+
+def test_indented_json_is_json_dumps_byte_for_byte():
+    p = Presentation(2, 2)
+    # trivial, k = 0, distorted with a witness, undistorted with a retract
+    reports = [
+        decide_undistorted([parse(t, p) for t in texts], p).json_dict()
+        for texts in (["a a^-1"], ["[a,b]"], ["a", "[a,b]"], ["a^2[a,b]^3"])
+    ]
+    assert [r["verdict"] for r in reports] == [
+        "trivial", "distorted", "distorted", "undistorted"
+    ]
+    assert reports[1]["k"] == 0 and reports[2]["kernel_witness"] is not None
+    assert reports[3]["retract"] is not None
+    nested = {
+        "z": [True, False, None, -7, 0, 10**30, "", 'q"\u00e9\n'],
+        "a": {"y": [[], {}, [[None]], {"k": {"n": -1}}], "x": {"b": True}},
+        "m": [],
+        "e": {},
+    }
+    for value in (*reports, nested, [], {}, "s", -3, None, False):
+        assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def run_limited(*argv):
     """The CLI in a fresh process whose address space is capped at 256 MB."""
 

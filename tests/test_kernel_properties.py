@@ -258,6 +258,24 @@ def test_commutator_matches_the_product_of_four(data):
     assert tuple_terms(bracket) == naive_embed(commutator_word(u, v), p.m, p.c)
 
 
+def test_letter_powers_in_closed_form_equal_the_power_series():
+    # (1 + x)^n = sum_k C(n, k) x^k, written down without a product; the
+    # reference is the power series of the letter's image
+    big = 10**6
+    exponents = (
+        *range(-60, 61), *range(big - 50, big + 51), *range(-big - 50, -big + 51)
+    )
+    for p in (*GROUPS, Presentation(1, 400)):
+        for i, name in enumerate(p.names):
+            letter = GroupElement(p, {1: 1, monomial_key((i,), p.letter_bits): 1})
+            for n in exponents:
+                expected = power(letter, n)
+                assert magnus._letter_power.__wrapped__(p, i, n) == expected
+                if -60 <= n <= 60:
+                    assert evaluate(parse(f"{name}^{n}", p), p) == expected
+                    assert embed(((i, 1 if n > 0 else -1),) * abs(n), p) == expected
+
+
 def test_commutator_of_deep_operands():
     # [a,b] and [a,[a,b]] bracket in degree 5: past the class, at it, and
     # with one or two degrees of (hg)^-1 to spare

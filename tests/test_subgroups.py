@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+import oracles
 from oracles import (
     bareiss_rank,
     closure_products,
     conjugation_normal,
     element_ball,
+    every_pair_basis,
     exponent_vector,
+    greedy_completion,
     invert_word,
     random_word,
     retract_word,
@@ -66,9 +69,9 @@ def test_abelianized_examples():
 
 def test_abelianized_rank_and_completion_span():
     # k is the rank of the generators' abelianized images, and the completion
-    # generators extend those images to a rank-m family
+    # generators extend those images to a rank-m family, greedily
     rng = random.Random(61)
-    for p in (P22, P32):
+    for p in (P22, P32, Presentation(4, 2), Presentation(5, 2)):
         for _ in range(40):
             gens = [
                 random_word(rng, p.m, 4, min_len=1)
@@ -77,6 +80,7 @@ def test_abelianized_rank_and_completion_span():
             ab = abelianized_basis([embed(w, p) for w in gens], p)
             vecs = [exponent_vector(w, p.m) for w in gens]
             assert bareiss_rank(vecs) == ab.k
+            assert ab.completion == greedy_completion(vecs, p.m)
             full = vecs + [
                 [1 if i == j else 0 for i in range(p.m)] for j in ab.completion
             ]
@@ -550,6 +554,34 @@ def test_displaced_pairs_cost_no_commutators():
     report = decide_undistorted(gens, p, max_events=4000)
     assert report.verdict == "undistorted" and report.finite_index
     assert len(induced_basis(gens, p, max_events=4000)) == p.hirsch_length
+
+
+def test_weight_dead_pairs_are_never_commuted(monkeypatch):
+    # [g, h] lies in gamma_{wt g + wt h}, trivial past c: elimination and the
+    # normality test never form it, and the every-pair reference still does
+    seen = {"package": [], "every pair": []}
+
+    def counting(side, fn):
+        def counted(g, h):
+            seen[side].append(g.weight() + h.weight() - g.presentation.c)
+            return fn(g, h)
+
+        return counted
+
+    monkeypatch.setattr(subgroups, "commutator", counting("package", subgroups.commutator))
+    monkeypatch.setattr(oracles, "commutator", counting("every pair", oracles.commutator))
+    rng = random.Random(23)
+    for p in (P22, P23, P32, Presentation(3, 3), Presentation(2, 4)):
+        for _ in range(12):
+            gens = [
+                random_word(rng, p.m, 5, min_len=1) for _ in range(rng.randint(1, 3))
+            ]
+            decide_undistorted([word_slp(w) for w in gens], p)
+            induced_basis([word_slp(w) for w in gens], p)
+            every_pair_basis([embed(w, p) for w in gens], p)
+    decide_undistorted(words(P23, "[a,b,a]", "a b"), P23)
+    assert seen["package"] and max(seen["package"]) <= 0
+    assert max(seen["every pair"]) > 0
 
 
 def test_member_uses_coordinates_consistently():
