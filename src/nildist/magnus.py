@@ -34,8 +34,9 @@ embed and evaluate start a product from its first factor, and evaluate walks
 a straight-line program (a parsed word) bottom-up without expanding it, one
 power per power node and one commutator per bracket.  A letter power needs
 no product at all: (1 + x_i)^n = sum_k C(n, k) x_i^k, so _letter_power
-writes its terms down at once, for a letter (n = 1), a power node over a
-letter and each run of equal letters that embed reads.
+writes its terms down at once, for a power node over a letter and each run
+of equal letters that embed reads; a lone letter or its inverse, which
+recurs from word to word, comes from a cache (_letter_image).
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
@@ -230,9 +231,6 @@ def identity(presentation: Presentation) -> GroupElement:
     return GroupElement(presentation, {1: 1})
 
 
-# a word's letters and letter powers recur from word to word: 20 per
-# presentation, for as many presentations as the other caches keep
-@lru_cache(maxsize=20 * CACHED_PRESENTATIONS)
 def _letter_power(presentation: Presentation, index: int, n: int) -> GroupElement:
     """The image of letter index to the power n, any integer n: the terms
     C(n, k) x^k of (1 + x)^n, k = 0..c, that do not vanish."""
@@ -250,6 +248,14 @@ def _letter_power(presentation: Presentation, index: int, n: int) -> GroupElemen
     return GroupElement(presentation, terms)
 
 
+# one entry per letter and sign: 2m <= 20 per presentation of class >= 2
+# under the default Hirsch cap; other powers are built afresh, in about a
+# microsecond
+@lru_cache(maxsize=20 * CACHED_PRESENTATIONS)
+def _letter_image(presentation: Presentation, index: int, sign: int) -> GroupElement:
+    return _letter_power(presentation, index, sign)
+
+
 def _product(factors: Iterator[GroupElement], p: Presentation) -> GroupElement:
     """The factors multiplied from the first one on; the identity if none."""
     first = next(factors, None)
@@ -258,11 +264,14 @@ def _product(factors: Iterator[GroupElement], p: Presentation) -> GroupElement:
 
 def embed(word: Word, presentation: Presentation) -> GroupElement:
     """Image of a letter sequence; a run of equal letters is one letter power."""
-    runs = (
-        _letter_power(presentation, index, sign * len(list(run)))
-        for (index, sign), run in groupby(word)
+    runs = ((index, sign * len(list(run))) for (index, sign), run in groupby(word))
+    return _product(
+        (
+            (_letter_image if abs(n) == 1 else _letter_power)(presentation, index, n)
+            for index, n in runs
+        ),
+        presentation,
     )
-    return _product(runs, presentation)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -340,11 +349,13 @@ def evaluate(word: Slp, presentation: Presentation) -> GroupElement:
     for node in word.nodes():
         kind, a = node.kind, node.a
         if kind == "letter":
-            value = _letter_power(presentation, a, 1)
+            value = _letter_image(presentation, a, 1)
         elif kind == "power":
             base = node.parts[0]
             if base.kind == "letter":
-                value = _letter_power(presentation, base.a, a)
+                value = (_letter_image if abs(a) == 1 else _letter_power)(
+                    presentation, base.a, a
+                )
             else:
                 value = power(values[base], a)
         elif kind == "concat":

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import CapExceededError, InternalInconsistencyError
 from .hall import _block_exponents, hall_basis, to_coordinates
@@ -83,12 +83,10 @@ from .magnus import (
     evaluate,
     exponent_sums,
     inverse,
-    key_product,
-    monomial_key,
     multiply,
     power,
 )
-from .presentation import CACHED_PRESENTATIONS, Presentation
+from .presentation import Presentation
 from .words import Slp, Word, free_reduce, format_word
 
 DEFAULT_MAX_EVENTS = 10**6
@@ -131,31 +129,23 @@ class Retraction:
         # x_j -> 0 for killed j is a ring map that keeps degrees, so it
         # commutes with the truncation, and it sends 1 + x_j to 1
         table = self._keys
-        images = ((table[k], v) for k, v in g.terms.items())
+        images = ((table.get(k, 0), v) for k, v in g.terms.items())
         return GroupElement(self.target, {k: v for k, v in images if k})
 
     @cached_property
     def _keys(self) -> dict[int, int]:
-        """Every source monomial key of degree <= c mapped to the target key
-        of its image, or to 0 when the monomial holds a killed index.  It
-        lives as long as the retraction, which build_retraction caches."""
+        """Every source monomial key of degree <= the target's class whose
+        letters are all kept, mapped to the target key of its image; every
+        other key maps to 0 and is left out.  It lives as long as the
+        retraction, one per decision."""
         sbits, tbits = self.source.letter_bits, self.target.letter_bits
-        image = {amb: monomial_key((i,), tbits) for i, amb in enumerate(self.kept)}
-        # (source key, target key) per letter, 0 for a killed one
-        letters = [
-            (monomial_key((j,), sbits), image.get(j, 0)) for j in range(self.source.m)
-        ]
+        # (source digit, target digit) per kept letter
+        digits = [(j, i) for i, j in enumerate(self.kept)]
         table = {1: 1}
         layer = [(1, 1)]
-        for d in range(self.source.c):
-            if d == self.target.c:
-                # a rank-1 target has class 1: its monomials stop there
-                letters = [(x, 0) for x, _ in letters]
-            layer = [
-                (key_product(k, x), t and y and key_product(t, y))
-                for k, t in layer
-                for x, y in letters
-            ]
+        # the target has the source's class, or class 1 at rank 1
+        for _ in range(self.target.c):
+            layer = [(k << sbits | j, t << tbits | i) for k, t in layer for j, i in digits]
             table.update(layer)
         return table
 
@@ -165,14 +155,7 @@ def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Ret
         raise ValueError(
             "the subgroup lies inside the derived subgroup; no retraction exists"
         )
-    return _retraction(presentation, basis.completion)
-
-
-# a presentation of rank m has fewer than 2^m kill sets, and decisions in
-# one group meet few of them: 4 per presentation the other caches keep
-@lru_cache(maxsize=4 * CACHED_PRESENTATIONS)
-def _retraction(presentation: Presentation, killed: tuple[int, ...]) -> Retraction:
-    """The retraction killing the letters killed, with its key table."""
+    killed = basis.completion
     kept = tuple(i for i in range(presentation.m) if i not in killed)
     names = tuple(presentation.names[i] for i in kept)
     target = Presentation(len(kept), presentation.c, names, presentation.max_hirsch)

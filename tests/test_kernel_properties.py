@@ -270,7 +270,7 @@ def test_letter_powers_in_closed_form_equal_the_power_series():
             letter = GroupElement(p, {1: 1, monomial_key((i,), p.letter_bits): 1})
             for n in exponents:
                 expected = power(letter, n)
-                assert magnus._letter_power.__wrapped__(p, i, n) == expected
+                assert magnus._letter_power(p, i, n) == expected
                 if -60 <= n <= 60:
                     assert evaluate(parse(f"{name}^{n}", p), p) == expected
                     assert embed(((i, 1 if n > 0 else -1),) * abs(n), p) == expected

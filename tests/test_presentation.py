@@ -5,7 +5,7 @@ import pytest
 
 import nildist
 from oracles import witt_every_d
-from nildist import hall, magnus, presentation, subgroups
+from nildist import hall, magnus, presentation
 from nildist.errors import CapExceededError, UnknownGeneratorError
 from nildist.magnus import embed, multiply
 from nildist.presentation import (
@@ -100,8 +100,7 @@ def test_presentation_caches_are_bounded():
         presentation._name_table,
         hall.hall_basis,
         hall.letter_steps,
-        magnus._letter_power,
-        subgroups._retraction,
+        magnus._letter_image,
     ):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
