@@ -8,10 +8,13 @@ image is its exponent sum in generator i, so these degree-1 coefficients are
 the abelianized generators: an integer matrix whose Hermite form has rank k.
 Greedily chosen ambient generators (smallest index first) complete them to a
 rank-m family.  Killing exactly those completion generators defines a
-retraction r of the ambient group onto the subgroup D generated by the kept
-ones, with kernel N the normal closure of the killed generators.  On
-polynomial images r is the ring map x_j -> 0 for every killed j, the kept
-variables renumbered.
+retraction r: F -> F onto the subgroup D generated by the k kept ones, with
+kernel N the normal closure of the killed generators.  On polynomial images
+r is the ring map x_j -> 0 for every killed j: it keeps the monomials over
+kept letters, under their own keys.  r(b) is b or 1 for every Hall entry b,
+and the entries over kept letters, in F's order, are D's Hall basis (the
+basic commutator conditions only compare indices), so r is the coordinate
+projection that zeroes every entry holding a killed letter.
 
 Standard bases.  A subgroup is described by a pivoted generating sequence
 along a central series with cyclic factors, read by a lead function: the
@@ -48,18 +51,20 @@ The verdict.  The subgroup H is undistorted exactly when H meets N
 trivially, which by additivity of Hirsch length along 1 -> H \cap N -> H ->
 r(H) -> 1 happens exactly when H and r(H) have equal Hirsch length.  One
 elimination of H gives both, along D's series pulled back through r and
-then N cut by the ambient series: the lead is that of r(g) in D while
-r(g) != 1, else g's own, shifted past D's slots.  r is a ring map, so pivot
-values still add, and as N is normal every step stays central.  Entries
-with a pivot in D map to a standard basis of r(H), the others form one of
-H \cap N, and the lightest of those, of least weight in H \cap N, is the
-kernel witness, checked to be nontrivial, to lie in H and to die under r.
+then N cut by the ambient series: the lead is that of r(g), read on F's
+Hall basis, while r(g) != 1, else g's own, shifted by hirsch(F) past every
+pivot r(g) can have.  r is a ring map, so pivot values still add, and as N
+is normal every step stays central.  Entries with a pivot below hirsch(F)
+map to a standard basis of r(H), the others form one of H \cap N, and the
+lightest of those, of least weight in H \cap N, is the kernel witness,
+checked to be nontrivial, to lie in H and to die under r.
 Membership along this series is membership in H, so H is normal exactly
 when it holds the commutator of each generator with each ambient letter;
 a generator of weight c commutes with every letter, so its pairs are never
 formed.
-With k = 0 there is no retraction, H is distorted, the ambient series
-serves, and a lightest generator is the witness.
+With k = 0, D = 1 and r kills everything, so the series is the ambient one
+shifted, H = H \cap N is distorted, and a lightest generator is the
+witness.
 
 Words.  Exchange steps and commutators compound words exponentially (10^9
 letters and more at F(3,3)), so elimination tracks each one as a
@@ -93,73 +98,53 @@ DEFAULT_MAX_EVENTS = 10**6
 
 
 @dataclass(frozen=True)
-class AbelianizedBasis:
-    presentation: Presentation
-    k: int
-    completion: tuple[int, ...]
-
-
-def abelianized_basis(elements, presentation: Presentation) -> AbelianizedBasis:
-    """k and the greedy completion (see "Rank and completion") from one
-    Hermite form.  Unit vectors complete the abelianized generators' row
-    space to rank m exactly when the other columns are independent on it,
-    so the greedy completion, smallest index first, is the complement of the
-    column basis chosen greedily from the last column down: the pivot
-    columns of an echelon form with the columns reversed."""
-    m = presentation.m
-    h, _ = hermite_normal_form([exponent_sums(g)[::-1] for g in elements])
-    kept = {m - 1 - next(j for j, v in enumerate(row) if v) for row in h if any(row)}
-    completion = tuple(j for j in range(m) if j not in kept)
-    return AbelianizedBasis(presentation, len(kept), completion)
-
-
-@dataclass(frozen=True)
 class Retraction:
+    """r: F -> F, every killed letter sent to 1 and every kept one fixed.
+    Its image is the subgroup D the kept letters generate and its kernel N
+    the normal closure of the killed ones.  With no letter kept, D = 1 and
+    r kills everything."""
+
+    presentation: Presentation
     kept: tuple[int, ...]
     killed: tuple[int, ...]
-    source: Presentation
-    target: Presentation
 
     def __call__(self, g: GroupElement) -> GroupElement:
-        """r(g): every monomial with a killed index dropped, the kept
-        indices renumbered into target.  Each source key is looked up in
-        one table of target keys, so no monomial is decoded."""
-        if g.presentation != self.source:
+        """r(g): every monomial with a killed letter dropped, the others
+        kept under their own keys."""
+        if g.presentation != self.presentation:
             raise ValueError("element and retraction live in different presentations")
         # x_j -> 0 for killed j is a ring map that keeps degrees, so it
         # commutes with the truncation, and it sends 1 + x_j to 1
-        table = self._keys
-        images = ((table.get(k, 0), v) for k, v in g.terms.items())
-        return GroupElement(self.target, {k: v for k, v in images if k})
+        kept = self._kept_keys
+        terms = {k: v for k, v in g.terms.items() if k in kept}
+        return GroupElement(self.presentation, terms)
 
     @cached_property
-    def _keys(self) -> dict[int, int]:
-        """Every source monomial key of degree <= the target's class whose
-        letters are all kept, mapped to the target key of its image; every
-        other key maps to 0 and is left out.  It lives as long as the
-        retraction, one per decision."""
-        sbits, tbits = self.source.letter_bits, self.target.letter_bits
-        # (source digit, target digit) per kept letter
-        digits = [(j, i) for i, j in enumerate(self.kept)]
-        table = {1: 1}
-        layer = [(1, 1)]
-        # the target has the source's class, or class 1 at rank 1
-        for _ in range(self.target.c):
-            layer = [(k << sbits | j, t << tbits | i) for k, t in layer for j, i in digits]
-            table.update(layer)
-        return table
+    def _kept_keys(self) -> set[int]:
+        """Every monomial key of degree <= c whose letters are all kept, the
+        constant 1 included.  It lives as long as the retraction, one per
+        decision."""
+        bits = self.presentation.letter_bits
+        keys = layer = {1}
+        for _ in range(self.presentation.c):
+            layer = {k << bits | j for k in layer for j in self.kept}
+            keys = keys | layer
+        return keys
 
 
-def build_retraction(basis: AbelianizedBasis, presentation: Presentation) -> Retraction:
-    if basis.k == 0:
-        raise ValueError(
-            "the subgroup lies inside the derived subgroup; no retraction exists"
-        )
-    killed = basis.completion
-    kept = tuple(i for i in range(presentation.m) if i not in killed)
-    names = tuple(presentation.names[i] for i in kept)
-    target = Presentation(len(kept), presentation.c, names, presentation.max_hirsch)
-    return Retraction(kept, killed, presentation, target)
+def retraction_for(elements, presentation: Presentation) -> Retraction:
+    """The retraction that keeps k letters and kills the greedy completion
+    (see "Rank and completion"), from one Hermite form.  Unit vectors
+    complete the abelianized generators' row space to rank m exactly when
+    the other columns are independent on it, so the greedy completion,
+    smallest index first, is the complement of the column basis chosen
+    greedily from the last column down: the pivot columns of an echelon
+    form with the columns reversed."""
+    m = presentation.m
+    h, _ = hermite_normal_form([exponent_sums(g)[::-1] for g in elements])
+    kept = {m - 1 - next(j for j, v in enumerate(row) if v) for row in h if any(row)}
+    killed = tuple(j for j in range(m) if j not in kept)
+    return Retraction(presentation, tuple(sorted(kept)), killed)
 
 
 class _Entry:
@@ -419,7 +404,7 @@ def _is_normal(basis: SubgroupStandardBasis, elements, presentation) -> bool:
 
 def _pullback_lead(retraction: Retraction):
     """The lead along the pullback series (see "The verdict")."""
-    shift = retraction.target.hirsch_length
+    shift = retraction.presentation.hirsch_length
 
     def lead(g: GroupElement):
         image = retraction(g)
@@ -433,7 +418,7 @@ def _pullback_lead(retraction: Retraction):
 
 def _kernel_witness(basis, word, retraction: Retraction):
     """(word, weight), once word spells a nontrivial element of H that r kills."""
-    g = embed(word, retraction.source)
+    g = embed(word, retraction.presentation)
     if g.is_identity() or not member(basis, g):
         raise InternalInconsistencyError("the kernel witness is trivial or outside H")
     if not retraction(g).is_identity():
@@ -454,17 +439,11 @@ def decide_undistorted(
             presentation, "trivial", 0, 0, 0, hirsch_F, False, True, None, None, None
         )
 
-    ab = abelianized_basis(elements, presentation)
-    if ab.k == 0:
-        # H sits inside the derived subgroup, hence inside the kernel of
-        # every candidate retraction: always distorted.
-        retraction, lead, shift = None, _lead, 0
-    else:
-        retraction = build_retraction(ab, presentation)
-        lead, shift = _pullback_lead(retraction), retraction.target.hirsch_length
+    retraction = retraction_for(elements, presentation)
+    lead = _pullback_lead(retraction)
     basis = _eliminate(gens, elements, presentation, max_events, lead)
     hirsch_H = len(basis)
-    hirsch_rH = sum(j < shift for j in basis._slots)
+    hirsch_rH = sum(j < hirsch_F for j in basis._slots)
     normal = _is_normal(basis, elements, presentation)
     # a lightest generator has H's least weight, the weight of every
     # nontrivial element when H is cyclic
@@ -472,21 +451,23 @@ def decide_undistorted(
     cyclic_exponent = g.weight() if hirsch_H == 1 else None
 
     witness = None
-    if retraction is None:
+    if not retraction.kept:
+        # H sits inside the derived subgroup, hence inside the kernel of
+        # every candidate retraction
         witness = (free_reduce(lightest.expand()), g.weight())
     elif hirsch_H != hirsch_rH:
-        # the lightest F-pivot slot is an element of H \cap N of least weight
+        # the lightest kernel slot is an element of H \cap N of least weight
         entry = min(
-            (t for j, t in basis._slots.items() if j >= shift),
+            (t for j, t in basis._slots.items() if j >= hirsch_F),
             key=lambda t: (t.element.weight(), len(t.word)),
         )
         witness = _kernel_witness(basis, free_reduce(entry.word.expand()), retraction)
 
-    undistorted = retraction is not None and hirsch_H == hirsch_rH
+    undistorted = hirsch_H == hirsch_rH
     return DistortionReport(
         presentation,
         "undistorted" if undistorted else "distorted",
-        ab.k,
+        len(retraction.kept),
         hirsch_H,
         hirsch_rH,
         hirsch_F,

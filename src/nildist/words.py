@@ -7,6 +7,7 @@ Grammar (whitespace-insensitive):
     atom   := name | "1" | "(" expr ")" | "[" expr ("," expr)+ "]"
     int    := "-"? digit+
     name   := letter digit*
+    digit  := "0" | "1" | ... | "9"
 
 The atom "1" is the empty word, so printed output always parses back.  A
 parsed word is a straight-line program (Slp), which elimination extends
@@ -61,15 +62,17 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
         elif ch.isalpha():
+            # ASCII digits only, here and in exponents: str.isdigit also
+            # admits '²', which int() refuses, and '٣', which it reads as 3
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-        elif ch == "-" or ch.isdigit():
+        elif ch == "-" or "0" <= ch <= "9":
             j = i + 1 if ch == "-" else i
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             if k == j:
                 raise WordSyntaxError("expected digits after '-'", i)

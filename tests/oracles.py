@@ -29,14 +29,13 @@ from itertools import product as cartesian
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import hall_basis, to_coordinates
 from nildist.magnus import commutator, embed, identity, inverse, multiply, power
+from nildist.presentation import Presentation
 from nildist.subgroups import (
     DEFAULT_MAX_EVENTS,
     SubgroupStandardBasis,
     _Eliminator,
     _Entry,
     _lead,
-    abelianized_basis,
-    build_retraction,
 )
 from nildist.words import Slp, free_reduce
 
@@ -400,6 +399,31 @@ def product_peel(g):
     return tuple(coords)
 
 
+def entry_letters(presentation):
+    """The letters each Hall entry holds, read off its brackets."""
+    letters = []
+    for entry in hall_basis(presentation).entries:
+        if entry.gen is not None:
+            letters.append(frozenset((entry.gen,)))
+        else:
+            letters.append(letters[entry.left] | letters[entry.right])
+    return letters
+
+
+def spread_coordinates(coords, presentation, kept):
+    """The coordinates of an element of D, the subgroup the kept letters
+    generate, given on D's own Hall basis, placed at the entries of F's
+    Hall basis that hold only kept letters, in F's order; zero elsewhere."""
+    letters = entry_letters(presentation)
+    slots = [i for i, held in enumerate(letters) if held <= set(kept)]
+    if len(slots) != len(coords):
+        raise InternalInconsistencyError("D's Hall basis is not F's kept entries")
+    spread = [0] * presentation.hirsch_length
+    for i, e in zip(slots, coords):
+        spread[i] = e
+    return tuple(spread)
+
+
 # ---------------------------------------------------------------- membership
 
 def greedy_member(basis, g):
@@ -443,10 +467,11 @@ def exponent_vector(word, m):
     return vec
 
 
-def retract_word(retraction, word):
-    """The retraction on letters: killed letters dropped, kept ones
-    renumbered into the target presentation."""
-    renumber = {amb: i for i, amb in enumerate(retraction.kept)}
+def retract_word(kept, word):
+    """The retraction on letters: killed letters dropped, the kept letters
+    (ambient indices, ascending) renumbered 0, 1, ... as the generators of
+    D's own presentation."""
+    renumber = {amb: i for i, amb in enumerate(kept)}
     return tuple((renumber[i], sign) for i, sign in word if i in renumber)
 
 
@@ -485,21 +510,31 @@ def two_elimination_decision(gens, presentation):
     as a dict: verdict, k, H, rH, finite_index, normal (by conjugates),
     cyclic_exponent, and the weight of the lightest (weight, then length)
     nontrivial element of H that a relation of r(H) spells, checked to lie
-    in H and to die under r; at k = 0, of the first nontrivial generator."""
+    in H and to die under r; at k = 0, of the first nontrivial generator.
+    The kept letters are those outside the greedy completion of the
+    generators' exponent vectors, and r(H) lives in D's own presentation,
+    on the kept letters renumbered."""
     gens = [tuple(w) for w in gens]
     elements = [embed(w, presentation) for w in gens]
     if all(g.is_identity() for g in elements):
         return {"verdict": "trivial", "k": 0, "H": 0, "rH": 0, "finite_index": False,
                 "normal": True, "cyclic_exponent": None, "witness_weight": None}
-    ab = abelianized_basis(elements, presentation)
+    m = presentation.m
+    killed = greedy_completion([exponent_vector(w, m) for w in gens], m)
+    kept = tuple(i for i in range(m) if i not in killed)
     basis_H = every_pair_basis(elements, presentation)
     hirsch_H = len(basis_H)
     hirsch_rH, witness = 0, None
-    if ab.k == 0:
+    if not kept:
         witness = next(g.weight() for g in elements if not g.is_identity())
     else:
-        retraction = build_retraction(ab, presentation)
-        basis_D = every_pair_basis([retraction(g) for g in elements], retraction.target)
+        names = tuple(presentation.names[i] for i in kept)
+        D = Presentation(len(kept), presentation.c, names)
+
+        def retract(word):
+            return embed(retract_word(kept, word), D)
+
+        basis_D = every_pair_basis([retract(w) for w in gens], D)
         hirsch_rH = len(basis_D)
         candidates = []
         for relation in basis_D.relations if hirsch_H != hirsch_rH else ():
@@ -509,11 +544,11 @@ def two_elimination_decision(gens, presentation):
                 candidates.append(((g.weight(), len(ambient)), g))
         if candidates:
             (witness, _), g = min(candidates, key=lambda c: c[0])
-            if not greedy_member(basis_H, g) or not retraction(g).is_identity():
+            if not greedy_member(basis_H, g) or not retract(ambient).is_identity():
                 raise InternalInconsistencyError("the scanned witness is no kernel witness")
     return {
-        "verdict": "undistorted" if ab.k and hirsch_H == hirsch_rH else "distorted",
-        "k": ab.k,
+        "verdict": "undistorted" if kept and hirsch_H == hirsch_rH else "distorted",
+        "k": len(kept),
         "H": hirsch_H,
         "rH": hirsch_rH,
         "finite_index": hirsch_H == presentation.hirsch_length,

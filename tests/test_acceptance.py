@@ -26,11 +26,10 @@ from nildist.hall import from_coordinates, hall_basis, to_coordinates
 from nildist.magnus import commutator, embed, evaluate, identity, multiply, power
 from nildist.presentation import Presentation
 from nildist.subgroups import (
-    abelianized_basis,
-    build_retraction,
     decide_undistorted,
     induced_basis,
     member,
+    retraction_for,
 )
 from nildist.words import Slp, free_reduce, parse
 
@@ -147,16 +146,15 @@ def test_criterion_3_decision_catalog():
             g = embed(word, p)
             expect(not g.is_identity(), f"{texts}: witness trivial")
             expect(g.weight() == wt, f"{texts}: witness weight")
-            ab = abelianized_basis([evaluate(w, p) for w in gens], p)
-            if ab.k > 0:
-                r = build_retraction(ab, p)
+            r = retraction_for([evaluate(w, p) for w in gens], p)
+            if r.kept:
                 expect(
                     r(g).is_identity(),
                     f"{texts}: witness survives retraction",
                 )
             else:
-                # the target group is trivial, so the retraction kills
-                # everything; the witness must sit below the abelianization
+                # D is trivial, so the retraction kills everything; the
+                # witness must sit below the abelianization
                 expect(g.weight() >= 2, f"{texts}: witness weight under k=0")
 
     report = decide_undistorted([parse("[a,b]", P22)], P22)

@@ -209,6 +209,12 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     assert "position" in err
 
+    # non-ASCII digits are syntax errors, not int() messages or a^3
+    for command, word in (("analyze", "a^²"), ("nf", "a^٣")):
+        code, out, err = run(capsys, command, "-m", "2", "-c", "2", word)
+        assert (code, out) == (1, "")
+        assert "unexpected character" in err and "(at position 2)" in err
+
     code, _, err = run(capsys)
     assert code == 1
 

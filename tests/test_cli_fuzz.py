@@ -95,6 +95,9 @@ def _run(argv):
 @example(["nf", "-m", "2", "-c", "2", "(" * 330 + "a" + ")" * 330])
 @example(["nf", "-m", "2", "-c", "2", "[" + ",".join(["a"] * 1000) + "]"])
 @example(["analyze", "-m", "2", "-c", "2", "[" + ",".join(["a"] * 1000) + "]"])
+# non-ASCII digits: int() refused the first and read the second as 3
+@example(["analyze", "-m", "2", "-c", "2", "a^²"])
+@example(["nf", "-m", "2", "-c", "2", "a^٣"])
 def test_cli_ends_with_an_exit_code_and_no_traceback(argv):
     assert DEFAULT_HIRSCH_CAP >= Presentation(int(argv[2]), int(argv[4])).hirsch_length
     result = _run(argv)

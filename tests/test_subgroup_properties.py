@@ -2,10 +2,12 @@
 of F(2..3, 2..3) and F(2, 4): entries' words spell their elements, every
 distorted verdict carries a certificate, the verdict's invariants do not
 depend on how the subgroup and the ambient group are presented nor on an
-automorphism of the ambient group, the retraction, the abelianization and
-the normality test read off polynomial images agree with their
-letter-level oracles, the one elimination along the pullback series agrees
-with two eliminations that commute every queued pair, and membership
+automorphism of the ambient group, the retraction is an idempotent
+endomorphism that zeroes exactly the Mal'cev coordinates of the Hall
+entries holding a killed letter (in F(2,3) up to F(2,6)), the retraction,
+the abelianization and the normality test read off polynomial images agree
+with their letter-level oracles, the one elimination along the pullback
+series agrees with two eliminations that commute every queued pair, and membership
 agrees with greedy reduction on full coordinates along either series."""
 
 from hypothesis import assume, given, settings
@@ -15,27 +17,29 @@ from oracles import (
     bareiss_rank,
     commutator_word,
     conjugation_normal,
+    entry_letters,
     every_pair_basis,
     exponent_vector,
     greedy_member,
     invert_word,
     retract_word,
+    spread_coordinates,
     substitute,
     two_elimination_decision,
     word_slp,
 )
+from nildist.hall import from_coordinates, to_coordinates
 from nildist.magnus import commutator, embed, evaluate, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import (
     DEFAULT_MAX_EVENTS,
-    AbelianizedBasis,
+    Retraction,
     _eliminate,
     _pullback_lead,
-    abelianized_basis,
-    build_retraction,
     decide_undistorted,
     induced_basis,
     member,
+    retraction_for,
 )
 from nildist.words import free_reduce
 
@@ -94,8 +98,58 @@ def test_distorted_witnesses_are_certified(case):
     assert not g.is_identity()
     assert g.weight() == wt
     assert member(induced_basis(slps(gens), p), g)
-    retraction = build_retraction(abelianized_basis([embed(w, p) for w in gens], p), p)
+    retraction = retraction_for([embed(w, p) for w in gens], p)
     assert retraction(g).is_identity()
+
+
+PROJECTION_GROUPS = tuple(
+    Presentation(m, c) for m, c in ((2, 3), (3, 3), (3, 4), (4, 3), (2, 6))
+)
+
+
+def _retractions(p):
+    """The retraction of p's group that kills a random proper subset of the
+    letters."""
+
+    def retraction(killed):
+        kept = tuple(i for i in range(p.m) if i not in killed)
+        return Retraction(p, kept, tuple(sorted(killed)))
+
+    killed = st.lists(st.integers(0, p.m - 1), max_size=p.m - 1, unique=True)
+    return killed.map(retraction)
+
+
+@st.composite
+def projected_elements(draw):
+    """A retraction of F(2,3), F(3,3), F(3,4), F(4,3) or F(2,6), two
+    elements by their Mal'cev coordinates, and a word over the kept
+    letters."""
+    p = draw(st.sampled_from(PROJECTION_GROUPS))
+    r = draw(_retractions(p))
+    n = p.hirsch_length
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    letter = st.tuples(st.sampled_from(r.kept), st.sampled_from((1, -1)))
+    word = st.lists(letter, max_size=8).map(tuple)
+    return r, tuple(draw(vector)), tuple(draw(vector)), draw(word)
+
+
+@SUBGROUPS
+@given(projected_elements())
+def test_retraction_is_the_projection_onto_kept_entries(case):
+    # the design's premise: on Mal'cev coordinates r zeroes every Hall entry
+    # that holds a killed letter, and it is an idempotent endomorphism of F
+    # fixing D
+    r, x, y, word = case
+    p = r.presentation
+    held = entry_letters(p)
+    g, h = from_coordinates(x, p), from_coordinates(y, p)
+    killed = set(r.killed)
+    projected = tuple(0 if held[i] & killed else e for i, e in enumerate(x))
+    assert to_coordinates(r(g)) == projected
+    assert r(multiply(g, h)) == multiply(r(g), r(h))
+    assert r(r(g)) == r(g)
+    d = embed(word, p)
+    assert r(d) == d
 
 
 @st.composite
@@ -103,24 +157,28 @@ def retracted_words(draw):
     """A retraction of F(2..3, 2..4) killing a proper subset of the
     generators, and random words."""
     p = draw(st.sampled_from(LETTER_GROUPS))
-    killed = draw(st.lists(st.integers(0, p.m - 1), max_size=p.m - 1, unique=True))
-    basis = AbelianizedBasis(p, p.m - len(killed), tuple(sorted(killed)))
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     words = st.lists(st.lists(letter, max_size=8).map(tuple), min_size=1, max_size=3)
-    return build_retraction(basis, p), draw(words)
+    return draw(_retractions(p)), draw(words)
 
 
 @SUBGROUPS
 @given(retracted_words())
 def test_polynomial_retraction_and_abelianization_match_letters(case):
+    # r(g) is the element of D that the word with killed letters dropped
+    # spells in D's own presentation, read at F's kept Hall entries
     r, words = case
-    p = r.source
+    p = r.presentation
+    names = tuple(p.names[i] for i in r.kept)
+    D = Presentation(len(r.kept), p.c, names)
     elements = [embed(w, p) for w in words]
     for w, g in zip(words, elements):
-        assert r(g) == embed(retract_word(r, w), r.target)
+        image = to_coordinates(embed(retract_word(r.kept, w), D))
+        assert to_coordinates(r(g)) == spread_coordinates(image, p, r.kept)
         assert [g.coefficient((i,)) for i in range(p.m)] == exponent_vector(w, p.m)
-    ab = abelianized_basis(elements, p)
-    assert ab.k == bareiss_rank([exponent_vector(w, p.m) for w in words])
+    assert len(retraction_for(elements, p).kept) == bareiss_rank(
+        [exponent_vector(w, p.m) for w in words]
+    )
 
 
 @SUBGROUPS
@@ -229,12 +287,13 @@ def test_one_elimination_decides_as_two(case):
 def test_pullback_slots_split_H_into_rH_and_the_kernel(case, data):
     p, gens = case
     elements = [embed(w, p) for w in gens]
-    ab = abelianized_basis(elements, p)
-    assume(ab.k > 0)
-    r = build_retraction(ab, p)
+    r = retraction_for(elements, p)
+    assume(r.kept)
     basis = _eliminate(slps(gens), elements, p, DEFAULT_MAX_EVENTS, _pullback_lead(r))
-    shift = r.target.hirsch_length
-    kernel = [basis.slot(j) for j in range(shift, shift + p.hirsch_length)]
+    # r(H)'s pivots are F's own indices, the kernel's are shifted past them
+    shift = p.hirsch_length
+    assert all(j < 2 * shift for j in basis._slots)
+    kernel = [basis.slot(j) for j in range(shift, 2 * shift)]
     kernel = [t for t in kernel if t is not None]
     oracle = two_elimination_decision(gens, p)
     assert len(kernel) == oracle["H"] - oracle["rH"]
@@ -270,9 +329,9 @@ def test_member_matches_greedy_reduction_on_every_series(case, data):
     elements = [embed(w, p) for w in gens]
     plain = induced_basis(slps(gens), p)
     bases = [plain]
-    ab = abelianized_basis(elements, p)
-    if ab.k:
-        lead = _pullback_lead(build_retraction(ab, p))
+    r = retraction_for(elements, p)
+    if r.kept:
+        lead = _pullback_lead(r)
         bases.append(_eliminate(slps(gens), elements, p, DEFAULT_MAX_EVENTS, lead))
     letter = st.tuples(st.integers(0, p.m - 1), st.sampled_from((1, -1)))
     in_h = st.tuples(st.integers(0, len(gens) - 1), st.sampled_from((1, -1)))

@@ -14,21 +14,21 @@ from oracles import (
     invert_word,
     random_word,
     retract_word,
+    spread_coordinates,
     word_power,
     word_slp,
 )
-from nildist import distortion, subgroups
+from nildist import distortion, hall, subgroups
 from nildist.errors import CapExceededError, InternalInconsistencyError
 from nildist.hall import from_coordinates, to_coordinates
 from nildist.magnus import embed, evaluate, identity, inverse, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import (
-    abelianized_basis,
-    build_retraction,
     cyclic_distortion_exponent,
     decide_undistorted,
     induced_basis,
     member,
+    retraction_for,
 )
 from nildist.words import free_reduce, parse, parse_word
 
@@ -54,17 +54,14 @@ def test_exponent_vector():
 
 
 def test_abelianized_examples():
-    ab = abelianized_basis(elements(P22, "a^2[a,b]^3"), P22)
-    assert ab.k == 1
-    assert ab.completion == (1,)
+    r = retraction_for(elements(P22, "a^2[a,b]^3"), P22)
+    assert (r.kept, r.killed) == ((0,), (1,))
 
-    ab = abelianized_basis(elements(P22, "a", "b"), P22)
-    assert ab.k == 2
-    assert ab.completion == ()
+    r = retraction_for(elements(P22, "a", "b"), P22)
+    assert (r.kept, r.killed) == ((0, 1), ())
 
-    ab = abelianized_basis(elements(P22, "[a,b]"), P22)
-    assert ab.k == 0
-    assert ab.completion == (0, 1)
+    r = retraction_for(elements(P22, "[a,b]"), P22)
+    assert (r.kept, r.killed) == ((), (0, 1))
 
 
 def test_abelianized_rank_and_completion_span():
@@ -77,63 +74,79 @@ def test_abelianized_rank_and_completion_span():
                 random_word(rng, p.m, 4, min_len=1)
                 for _ in range(rng.randint(1, 3))
             ]
-            ab = abelianized_basis([embed(w, p) for w in gens], p)
+            r = retraction_for([embed(w, p) for w in gens], p)
             vecs = [exponent_vector(w, p.m) for w in gens]
-            assert bareiss_rank(vecs) == ab.k
-            assert ab.completion == greedy_completion(vecs, p.m)
+            assert bareiss_rank(vecs) == len(r.kept)
+            assert r.killed == greedy_completion(vecs, p.m)
             full = vecs + [
-                [1 if i == j else 0 for i in range(p.m)] for j in ab.completion
+                [1 if i == j else 0 for i in range(p.m)] for j in r.killed
             ]
             assert bareiss_rank(full) == p.m
-            assert ab.k + len(ab.completion) == p.m
+            assert sorted(r.kept + r.killed) == list(range(p.m))
 
 
 def test_retraction_partitions_generators():
-    ab = abelianized_basis(elements(P22, "a^2[a,b]^3"), P22)
-    r = build_retraction(ab, P22)
+    r = retraction_for(elements(P22, "a^2[a,b]^3"), P22)
+    assert r.presentation is P22
     assert r.kept == (0,)
     assert r.killed == (1,)
-    # the target has rank 1, so it is Z and carries class 1
-    assert r.target.m == 1
-    assert r.target.c == 1
-    assert r.target.names == ("a",)
 
-    with pytest.raises(ValueError):
-        build_retraction(abelianized_basis(elements(P22, "[a,b]"), P22), P22)
+    # inside the derived subgroup no letter is kept: r retracts F onto the
+    # trivial subgroup and kills everything
+    r = retraction_for(elements(P22, "[a,b]"), P22)
+    assert r.kept == ()
+    for text in ("a", "b a^-2", "[a,b]^3"):
+        assert r(embed(parse_word(text, P22), P22)).is_identity()
 
 
 def test_retract_word():
-    ab = abelianized_basis(elements(P22, "a^2[a,b]^3"), P22)
-    r = build_retraction(ab, P22)
-    assert retract_word(r, parse_word("a b a^-1 b", P22)) == ((0, 1), (0, -1))
+    r = retraction_for(elements(P22, "a^2[a,b]^3"), P22)
+    assert retract_word(r.kept, parse_word("a b a^-1 b", P22)) == ((0, 1), (0, -1))
     assert r(embed(parse_word("a b a^-1 b", P22), P22)).is_identity()
     assert r(embed(parse_word("b^5 [a,b]", P22), P22)).is_identity()
-    # the retraction fixes every word over the kept letters
-    assert r(embed(parse_word("a^3", P22), P22)) == embed(
-        parse_word("a^3", r.target), r.target
-    )
+    # the retraction fixes every word over the kept letters, with its own
+    # keys: a^3 keeps its degree-2 term, which no rank-1 quotient would
+    a3 = embed(parse_word("a^3", P22), P22)
+    assert r(a3) == a3
+    assert a3.coefficient((0, 0)) == 3
+
+
+def test_decide_builds_one_hall_basis():
+    # r maps F into F, so deciding reads F's Hall basis only, never one of D
+    P33 = Presentation(3, 3)
+    hall.hall_basis.cache_clear()
+    decide_undistorted(words(P33, "a b", "[a,c]"), P33)
+    assert hall.hall_basis.cache_info().currsize == 1
 
 
 def test_retraction_refuses_a_foreign_element():
-    r = build_retraction(abelianized_basis(elements(P22, "a"), P22), P22)
-    for g in (identity(P23), identity(r.target), embed(parse_word("a", P32), P32)):
+    r = retraction_for(elements(P22, "a"), P22)
+    # among them an element of D's own presentation, Z on the letter a
+    Z = Presentation(1, 1, ("a",))
+    for g in (identity(P23), identity(Z), embed(parse_word("a", P32), P32)):
         with pytest.raises(ValueError):
             r(g)
 
 
 def test_retraction_is_idempotent_on_kept_letters():
     rng = random.Random(67)
-    ab = abelianized_basis(elements(P32, "a", "c"), P32)
-    r = build_retraction(ab, P32)
+    r = retraction_for(elements(P32, "a", "c"), P32)
     assert r.killed == (1,)
+    # D's own presentation on the kept letters a, c, renumbered 0, 1
+    D = Presentation(2, 2, ("a", "c"))
     for _ in range(30):
         w = tuple(
             (rng.choice((0, 2)), rng.choice((1, -1)))
             for _ in range(rng.randint(0, 6))
         )
         rw = tuple(((0, 1)[i // 2], sign) for i, sign in w)
-        assert retract_word(r, w) == rw
-        assert r(embed(w, P32)) == embed(rw, r.target)
+        assert retract_word(r.kept, w) == rw
+        g = embed(w, P32)
+        assert r(g) == g
+        assert r(r(g)) == r(g)
+        # the image has the coordinates its renumbered word has in D
+        image = to_coordinates(embed(rw, D))
+        assert to_coordinates(r(g)) == spread_coordinates(image, P32, r.kept)
 
 
 def test_induced_basis_fixtures():
@@ -255,7 +268,7 @@ def test_member_on_the_pullback_series_rejects_on_the_abelianization():
     # H = <a, [a,b]^2>, eliminated along the series that decide uses
     gens = words(P22, "a", "[a,b]^2")
     els = [evaluate(w, P22) for w in gens]
-    r = build_retraction(abelianized_basis(els, P22), P22)
+    r = retraction_for(els, P22)
     basis = subgroups._eliminate(gens, els, P22, 10**4, subgroups._pullback_lead(r))
     calls = _counting_leads(basis)
     assert not member(basis, embed(parse_word("b", P22), P22))
@@ -409,9 +422,7 @@ def test_decide_distorted_with_positive_rank():
     # the witness lies in the subgroup and dies under the retraction
     basis = induced_basis(words(P22, "a", "[a,b]"), P22)
     assert member(basis, g)
-    retraction = build_retraction(
-        abelianized_basis(elements(P22, "a", "[a,b]"), P22), P22
-    )
+    retraction = retraction_for(elements(P22, "a", "[a,b]"), P22)
     assert retraction(g).is_identity()
 
 
@@ -429,7 +440,7 @@ def test_kernel_witness_must_lie_in_the_subgroup():
     # survives it; the check runs on the basis along the pullback series
     gens = words(P22, "a", "[a,b]^2")
     els = [evaluate(w, P22) for w in gens]
-    retraction = build_retraction(abelianized_basis(els, P22), P22)
+    retraction = retraction_for(els, P22)
     basis = subgroups._eliminate(gens, els, P22, 10**4, subgroups._pullback_lead(retraction))
     for word, message in (
         (parse_word("[a,b]", P22), "outside H"),

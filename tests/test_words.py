@@ -269,6 +269,19 @@ def test_syntax_errors_carry_positions():
         parse("a^- b", P22)
 
 
+def test_only_ascii_digits():
+    # str.isdigit admits both: int() refused '²' and read '٣' as 3
+    for text in ("a^²", "a^٣"):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse(text, P22)
+        assert exc.value.position == 2
+        assert "unexpected character" in str(exc.value)
+    # a name's suffix stops at the first non-ASCII digit
+    with pytest.raises(WordSyntaxError) as exc:
+        parse("x1٣", P22)
+    assert exc.value.position == 2
+
+
 def test_unknown_generator():
     with pytest.raises(UnknownGeneratorError):
         parse("q", P22)
