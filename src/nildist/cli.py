@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, malformed words),
-2 when a resource cap is exceeded, 3 on internal inconsistencies.
+Exit codes: 0 on success, 1 on usage errors (bad flags, malformed words,
+an errors.InputError), 2 when a resource cap is exceeded, 3 on internal
+inconsistencies, among them any other ValueError.
 
 Dispatch: when the first argument names a command, the rest go straight to
 that command's own parser, one argparse pass; anything else (no arguments,
@@ -17,7 +18,12 @@ import json
 import sys
 
 from .distortion import DEFAULT_MAX_ELEMENTS, measure_distortion
-from .errors import CapExceededError, InternalInconsistencyError, WordSyntaxError
+from .errors import (
+    CapExceededError,
+    InputError,
+    InternalInconsistencyError,
+    WordSyntaxError,
+)
 from .hall import hall_basis, normal_form_str, to_coordinates
 from .magnus import commutator, evaluate, multiply
 from .presentation import DEFAULT_HIRSCH_CAP, Presentation
@@ -285,13 +291,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"nildist: error: {exc}", file=sys.stderr)
         return 1
-    except (WordSyntaxError, ValueError) as exc:
+    except (WordSyntaxError, InputError) as exc:
         print(f"nildist: error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:
         print(f"nildist: cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, ValueError) as exc:
+        # a ValueError no input check raised is a fault, not bad input
         print(f"nildist: internal inconsistency: {exc}", file=sys.stderr)
         return 3
 

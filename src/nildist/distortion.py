@@ -19,21 +19,22 @@ step element and holding the letter maps from the start; the subgroup
 search and the member sift read it, so no element's map is derived twice
 in a call.  No step touches a polynomial.
 
-The ambient ball is grown layer by layer from the identity.  Each frontier
-element h remembers every step s by which it was reached from the layer
-before, and is multiplied by every step except the inverses of those:
-h s^-1 is a parent, already seen.  So a product that is not skipped lies in
-layer n or n + 1, and the current and next layers are all the search
-keeps.  For the ambient generators every step flips the parity of the
-exponent sum, so the Cayley graph is bipartite and every such product lands
-in layer n + 1; each element of layer n >= 1 skips one of its 2m products
-for each of its parents: 1/(2m) of them while the ball is a tree, more once
-relations close cycles.  Over the three benchmark tables (F(2,2) to radius
-10, F(2,3) to 6, F(3,2) to 5) about a third of the products go, 18,474 ->
-12,602.  The skip drops only products that are already seen, so the
-elements, their lengths and their order are those of the plain search, and
-so is the point where max_elements stops it, which counts the elements
-yielded.  enumerate_ball returns word lengths keyed by coordinate tuple.
+Each search grows its ball layer by layer from the identity and cuts
+every layer's frontier into chunks of _CHUNK elements.  A chunk is
+transposed to coordinate columns, and hall.apply_step_columns takes each
+step over the whole chunk at once, one map per monomial and per row term,
+so the work per element runs in C.  The products are put back in the order
+of the plain search, x s_1, x s_2, ... for one x after another; those
+already seen are dropped and the rest deduplicated by dict.fromkeys, also
+in C.  Every neighbour of an element of layer n lies in layer n - 1, n or
+n + 1, so seen holds only the layer before the frontier, the frontier and
+the next layer so far.  The search yields each chunk's new elements with
+their length before it starts the next chunk.  So the elements, their
+lengths and their order are those of the plain search, and so is the
+element at which max_elements, which counts the elements yielded, stops
+it; a caller that stops early, as the subgroup search does once it holds
+every target, has walked at most one chunk further.  enumerate_ball
+returns word lengths keyed by coordinate tuple.
 
 Delta(n) is the largest subgroup length among ball elements that lie in the
 subgroup.  An element's weight-1 coordinates are its exponent sums, so one
@@ -48,28 +49,39 @@ cyclic subgroup <u> the subgroup length of u^k is |k| exactly, read off
 the first nonzero coordinate; otherwise a second search over the
 subgroup's own generators supplies the lengths.  When that second search
 hits a cap before resolving every member, the affected table rows are
-reported as lower bounds and flagged.
+reported as lower bounds and flagged.  Two cases skip work: when H's
+standard basis has pivot value 1 at every coordinate, H = G and every ball
+element is a member, with no sift; when H's steps are the ambient letters
+and their inverses, the two Cayley graphs are one and the ball's lengths
+are the subgroup lengths, with no second search.  The rows then take one
+pass over the members: the largest subgroup length and an unresolved flag
+per ambient length, and running maxima over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, filterfalse, repeat
+from operator import itemgetter
 
-from .errors import CapExceededError
-from .hall import apply_step, hall_basis, letter_steps, step_map
+from .errors import CapExceededError, InputError
+from .hall import apply_step, apply_step_columns, hall_basis, letter_steps, step_map
 from .magnus import embed, evaluate, inverse
 from .presentation import Presentation
 from .subgroups import induced_basis
 from .words import Slp
 
 # A ball element is a coordinate tuple and a dict entry, about 0.26 KB in
-# F(3,2): the radius-9 ball (350,591 elements) peaks at 102 MB RSS.  With
-# H = G a measurement also keeps every member and walks the ball again, so
-# the largest ball under this cap, in F(2,2), F(2,4) or F(3,2), measures
-# inside a 256 MB address space (160-180 MB peak RSS).  Longer tuples and
-# larger coordinates cost more per element: in F(2,7) about 0.83 KB.
+# F(3,2).  The largest balls under this cap in F(2,2), F(2,4) and F(3,2),
+# of radius 31, 11 and 9, measure with H = G at 86, 98 and 98 MB peak RSS;
+# the F(3,2) one with H = <a> peaks at 98 MB too.  Longer tuples and larger
+# coordinates cost more per element: in F(2,7) about 0.8 KB, so 250,000
+# elements peak at 198 MB.
 DEFAULT_MAX_ELEMENTS = 400_000
+
+# frontier elements multiplied out per batch of column maps
+_CHUNK = 1024
 
 
 class _StepMaps(dict):
@@ -100,54 +112,55 @@ class BallIndex:
         return len(self.lengths)
 
 
-def _step_maps(presentation, gens, maps):
-    """The step maps of gens and their inverses, read from the cache maps:
-    (g, g^-1) pairs with the identity and repeats left out."""
+def _steps(presentation, gens):
+    """gens and their inverses as elements: (g, g^-1) pairs with the
+    identity and repeats left out."""
     steps = []
     for word in gens:
         g = evaluate(word, presentation)
         if not g.is_identity() and g not in steps:
             steps += [g, inverse(g)]
-    return [maps[g] for g in steps]
+    return steps
 
 
 def _bfs(presentation, gens, radius, max_elements, maps=None):
-    """Yield (coordinates, word length) over gens and their inverses,
-    breadth first, out to the given radius.  Raises CapExceededError rather
-    than yield more than max_elements elements."""
+    """Yield (coordinate tuples, word length) over gens and their inverses,
+    breadth first, out to the given radius, a frontier chunk's new elements
+    at a time.  Raises CapExceededError rather than yield more than
+    max_elements elements."""
     if maps is None:
         maps = _step_cache(presentation)
-    steps = _step_maps(presentation, gens, maps)
-    # the list holds (g, g^-1) pairs, so step t ^ 1 undoes step t
+    steps = [maps[s] for s in _steps(presentation, gens)]
     start = (0,) * presentation.hirsch_length
-    yield start, 0
+    yield [start], 0
     count = 1
-    # each frontier element maps to a bit mask of the steps that lead back
-    # to a parent; every parent is in it, so a product that is not skipped
-    # lies in this layer or the next, and those two dicts are all the
-    # search keeps
-    frontier = {start: 0}
+    # every neighbour of layer n lies in layer n - 1, n or n + 1, so those
+    # three layers are all that seen needs
+    previous, frontier = [], [start]
+    seen = {start}
     for layer in range(1, radius + 1):
-        new: dict = {}
-        for x, parents in frontier.items():
-            for t, step in enumerate(steps):
-                if parents >> t & 1:
-                    continue
-                y = apply_step(x, step)
-                arrived = new.get(y)
-                if arrived is not None:
-                    new[y] = arrived | 1 << (t ^ 1)
-                elif y not in frontier:
-                    if count >= max_elements:
-                        raise CapExceededError(
-                            f"ball exceeded {max_elements} elements at radius {layer}"
-                        )
-                    count += 1
-                    new[y] = 1 << (t ^ 1)
-                    yield y, layer
+        new = []
+        for at in range(0, len(frontier), _CHUNK):
+            chunk = frontier[at : at + _CHUNK]
+            columns = list(zip(*chunk))
+            per_step = [zip(*apply_step_columns(columns, step)) for step in steps]
+            # the order of the plain search: x s_1, x s_2, ... for each x
+            products = chain.from_iterable(zip(*per_step))
+            fresh = list(dict.fromkeys(filterfalse(seen.__contains__, products)))
+            if count + len(fresh) > max_elements:
+                if max_elements > count:
+                    yield fresh[: max_elements - count], layer
+                raise CapExceededError(
+                    f"ball exceeded {max_elements} elements at radius {layer}"
+                )
+            count += len(fresh)
+            seen.update(fresh)
+            new += fresh
+            yield fresh, layer
         if not new:
             return
-        frontier = new
+        seen.difference_update(previous)
+        previous, frontier = frontier, new
 
 
 def enumerate_ball(
@@ -160,10 +173,12 @@ def enumerate_ball(
     """All elements within the given word length of the identity, as word
     lengths keyed by Mal'cev coordinate tuple."""
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InputError("radius must be nonnegative")
     if not gens:
-        raise ValueError("need at least one generator")
-    lengths = dict(_bfs(presentation, gens, radius, max_elements))
+        raise InputError("need at least one generator")
+    lengths = {}
+    for elements, length in _bfs(presentation, gens, radius, max_elements):
+        lengths.update(zip(elements, repeat(length)))
     return BallIndex(presentation, radius, lengths)
 
 
@@ -199,11 +214,12 @@ def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap, map
     """
     found = {}
     try:
-        for x, length in _bfs(presentation, gens, radius_cap, max_elements, maps):
-            if x in targets:
-                found[x] = length
-                if len(found) == len(targets):
-                    break
+        for elements, length in _bfs(
+            presentation, gens, radius_cap, max_elements, maps
+        ):
+            found.update(zip(filter(targets.__contains__, elements), repeat(length)))
+            if len(found) == len(targets):
+                break
     except CapExceededError:
         pass
     return found
@@ -252,20 +268,29 @@ def measure_distortion(
     basis = induced_basis(gens, presentation)
     maps = _step_cache(presentation)
 
-    # the weight-1 coordinates are the exponent sums: those outside H's
-    # abelianization reject at once, solved once per sum vector, and only
-    # the rest are sifted
-    m, lattice = presentation.m, basis.abelianization
-    in_lattice = {}
-    pivot_steps = {}
-    half = hall_basis(presentation).block(presentation.c // 2 + 1).start
-    members = {}
-    for x, flen in ball.lengths.items():
-        sums = x[:m]
-        if sums not in in_lattice:
-            in_lattice[sums] = not any(sums) or lattice.solve(sums) is not None
-        if in_lattice[sums] and _sift(x, basis, maps, pivot_steps, half):
-            members[x] = flen
+    lengths = ball.lengths
+    # H = G when H has pivot value 1 at every coordinate
+    slots = [basis.slot(j) for j in range(presentation.hirsch_length)]
+    whole = all(t is not None and t.value == 1 for t in slots)
+    if whole:
+        members = lengths
+    else:
+        # the weight-1 coordinates are the exponent sums: those outside H's
+        # abelianization reject at once, solved once per sum vector, and
+        # only the rest are sifted
+        lattice, sums = basis.abelianization, itemgetter(slice(presentation.m))
+        in_lattice = {
+            v: not any(v) or lattice.solve(v) is not None
+            for v in set(map(sums, lengths))
+        }
+        candidates = compress(lengths, map(in_lattice.__getitem__, map(sums, lengths)))
+        pivot_steps = {}
+        half = hall_basis(presentation).block(presentation.c // 2 + 1).start
+        members = {
+            x: lengths[x]
+            for x in candidates
+            if _sift(x, basis, maps, pivot_steps, half)
+        }
 
     if len(basis) == 1:
         # members are the powers entry.element^k; for k != 0 the first
@@ -276,6 +301,11 @@ def measure_distortion(
         }
     elif len(basis) == 0:
         hlengths = dict.fromkeys(members, 0)
+    elif whole and set(_steps(presentation, gens)) == set(
+        _steps(presentation, letters)
+    ):
+        # the subgroup's Cayley graph is the ambient one
+        hlengths = lengths
     else:
         if subgroup_radius_cap is None:
             subgroup_radius_cap = max(4 * radius + 4, 16)
@@ -283,20 +313,23 @@ def measure_distortion(
             presentation, gens, members, max_elements, subgroup_radius_cap, maps
         )
 
-    # a row is exact when every member inside that radius got a resolved
-    # subgroup length; otherwise its delta is only a lower bound
+    # the largest resolved subgroup length at each ambient length, and
+    # whether one there is unresolved; a row n takes the running maximum
+    # over lengths <= n, and is exact when none of them has an unresolved
+    # member, otherwise its delta is only a lower bound
+    best = [0] * (radius + 1)
+    unresolved = [False] * (radius + 1)
+    for x, flen in members.items():
+        hl = hlengths.get(x)
+        if hl is None:
+            unresolved[flen] = True
+        elif hl > best[flen]:
+            best[flen] = hl
     rows = []
+    delta, exact = best[0], not unresolved[0]
     for n in range(1, radius + 1):
-        delta = 0
-        exact = True
-        for x, flen in members.items():
-            if flen > n:
-                continue
-            hl = hlengths.get(x)
-            if hl is None:
-                exact = False
-            elif hl > delta:
-                delta = hl
+        delta = max(delta, best[n])
+        exact = exact and not unresolved[n]
         rows.append(DistortionRow(n, delta, exact))
     return DistortionTable(presentation, radius, tuple(rows))
 

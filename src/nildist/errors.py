@@ -23,6 +23,12 @@ class ExponentOverflowError(WordSyntaxError):
     pass
 
 
+class InputError(NildistError, ValueError):
+    """An argument the caller has to change: a rank, class or Hirsch cap out
+    of range, a negative radius, the exponent of the trivial element.  The
+    CLI reports it as a usage error; any other ValueError is a fault."""
+
+
 class CapExceededError(NildistError):
     """A configured resource cap was hit (Hirsch length, element count,
     elimination events).  Caps fail loudly; nothing is truncated silently."""

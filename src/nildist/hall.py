@@ -36,15 +36,21 @@ of the engine's values on the staircase of exponent vectors of weighted
 degree <= c - w.  For a letter that is 3, 7 and 4 points for F(2,2), F(2,3)
 and F(3,2), 31 for F(5,3), 127 for F(2,7); a heavier step takes fewer, 3
 for [a,b] in F(2,3) and 31 for [a,[b,a]] in F(2,7), and a central one
-takes 1.  apply_step evaluates the map from its coefficient table.
-letter_steps keeps the 2m letter maps of a presentation; they are derived
-on first use, never while the Hall basis is built.
+takes 1.  apply_step evaluates the map on one tuple from its coefficient
+table, for the member sift and for step_map's own check;
+apply_step_columns evaluates it on many tuples at once, given as their
+coordinate columns, with one map over a column per monomial and per row
+term, for the ball searches.  letter_steps keeps the 2m letter maps of a
+presentation; they are derived on first use, never while the Hall basis
+is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
@@ -298,6 +304,39 @@ def apply_step(x: MalcevCoords, step: StepMap) -> MalcevCoords:
         for coeff, t in terms:
             y[i] += coeff * values[t]
     return tuple(y)
+
+
+def _binomial_column(column, j: int):
+    # C(x, j) entrywise, by the recurrence of _binomial
+    r = column
+    for i in range(1, j):
+        r = map(floordiv, map(mul, r, map(sub, column, repeat(i))), repeat(i + 1))
+    return list(r)
+
+
+def apply_step_columns(columns, step: StepMap) -> list:
+    """apply_step on many tuples at once, given as their coordinate columns
+    (columns[k] holds x_k of every tuple): the columns of the products x s.
+    Each monomial and each row term is one map over a whole column, so the
+    per-element work runs in C.  A column without a row comes back as it
+    went in; a row's column is a lazy map, to be read once."""
+    monomials, rows = step
+    values = [None, *columns]  # values[0], the constant 1, is never read
+    for base, k, j in monomials:
+        column = columns[k] if j == 1 else _binomial_column(columns[k], j)
+        values.append(column if base == 0 else list(map(mul, values[base], column)))
+    y = list(columns)
+    for i, terms in rows:
+        for coeff, t in terms:
+            if t == 0:
+                y[i] = map(add, y[i], repeat(coeff))
+            elif coeff == 1:
+                y[i] = map(add, y[i], values[t])
+            elif coeff == -1:
+                y[i] = map(sub, y[i], values[t])
+            else:
+                y[i] = map(add, y[i], map(mul, values[t], repeat(coeff)))
+    return y
 
 
 def _staircase(presentation: Presentation, top: int) -> list[tuple[int, ...]]:

@@ -12,9 +12,12 @@ class 1.
 Equal presentations are one object: Presentation(...) returns the
 equal instance it made before, if that is still among the last
 CACHED_PRESENTATIONS it made, so the caches keyed by a presentation and the
-checks that two elements share one match by identity.  Equality and hashing
-stay by value, so a presentation made before an eviction still compares
-equal.  Those caches keep at most CACHED_PRESENTATIONS presentations each.
+checks that two elements share one match by identity.  A call that repeats
+the arguments of a recent call, types included, returns its instance
+before any check runs, as each CLI command in a long-lived process does.
+Equality and hashing stay by value, and the hash is computed once, so a
+presentation made before an eviction still compares equal.  Those caches
+keep at most CACHED_PRESENTATIONS presentations each.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InputError
 
 DEFAULT_HIRSCH_CAP = 60
 CACHED_PRESENTATIONS = 64
@@ -67,7 +70,18 @@ def witt_number(m: int, k: int) -> int:
 
 class _Interned(type):
     def __call__(cls, *args, **kwargs):
-        return _intern(super().__call__(*args, **kwargs))
+        try:
+            return _made(cls, *args, **kwargs)
+        except TypeError:
+            # an unhashable argument, such as a list of names
+            return _intern(super().__call__(*args, **kwargs))
+
+
+@lru_cache(maxsize=CACHED_PRESENTATIONS, typed=True)
+def _made(cls, *args, **kwargs):
+    # keyed by the arguments as given, with their types, so a repeated call
+    # skips the checks and 2.0 is still refused where 2 was accepted
+    return _intern(type.__call__(cls, *args, **kwargs))
 
 
 @lru_cache(maxsize=CACHED_PRESENTATIONS)
@@ -85,11 +99,11 @@ class Presentation(metaclass=_Interned):
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.m!r}")
+            raise InputError(f"rank must be a positive integer, got {self.m!r}")
         if not isinstance(self.c, int) or self.c < 1:
-            raise ValueError(f"class must be a positive integer, got {self.c!r}")
+            raise InputError(f"class must be a positive integer, got {self.c!r}")
         if self.max_hirsch < 1:
-            raise ValueError("max_hirsch must be positive")
+            raise InputError("max_hirsch must be positive")
         if self.m == 1:
             # F(1, c) is Z = F(1, 1) for every c
             object.__setattr__(self, "c", 1)
@@ -102,9 +116,9 @@ class Presentation(metaclass=_Interned):
         else:
             object.__setattr__(self, "names", tuple(self.names))
         if len(self.names) != self.m:
-            raise ValueError("need exactly one name per generator")
+            raise InputError("need exactly one name per generator")
         if len(set(self.names)) != self.m:
-            raise ValueError("generator names must be distinct")
+            raise InputError("generator names must be distinct")
         # sum the Witt numbers only while the sum is inside the cap: the
         # full sum for a huge class has thousands of digits
         length = 0
@@ -119,12 +133,19 @@ class Presentation(metaclass=_Interned):
         object.__setattr__(self, "hirsch_length", length)
         # bits per letter in a monomial's integer key (see magnus)
         object.__setattr__(self, "letter_bits", max(1, (self.m - 1).bit_length()))
+        # every cache keyed by a presentation hashes it
+        object.__setattr__(
+            self, "_hash", hash((self.m, self.c, self.names, self.max_hirsch))
+        )
 
     def __eq__(self, other):
         # polynomial ops compare presentations, nearly always one with itself
         if self is other:
             return True
         return isinstance(other, Presentation) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return self._hash
 
     def name_of(self, index: int) -> str:
         return self.names[index]

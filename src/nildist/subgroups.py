@@ -78,7 +78,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceededError, InternalInconsistencyError
+from .errors import CapExceededError, InputError, InternalInconsistencyError
 from .hall import _block_exponents, hall_basis, to_coordinates
 from .intmat import RepeatedSolver, hermite_normal_form
 from .magnus import (
@@ -343,7 +343,7 @@ def member(basis: SubgroupStandardBasis, g: GroupElement) -> bool:
 def cyclic_distortion_exponent(g: GroupElement) -> int:
     """Distortion exponent of the cyclic subgroup generated by g."""
     if g.is_identity():
-        raise ValueError("the trivial element generates no cyclic subgroup")
+        raise InputError("the trivial element generates no cyclic subgroup")
     return g.weight()
 
 

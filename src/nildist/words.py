@@ -76,7 +76,14 @@ def _tokenize(text: str):
                 k += 1
             if k == j:
                 raise WordSyntaxError("expected digits after '-'", i)
-            tokens.append(("int", int(text[i:k]), i))
+            try:
+                value = int(text[i:k])
+            except ValueError:
+                # more digits than int() converts (4300 by default)
+                raise ExponentOverflowError(
+                    f"integer of {k - j} digits exceeds the limit {MAX_EXPONENT}", i
+                ) from None
+            tokens.append(("int", value, i))
             i = k
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", i)

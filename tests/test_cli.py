@@ -8,7 +8,9 @@ import time
 from pathlib import Path
 
 import nildist
+from nildist import cli
 from nildist.cli import _indented_json, build_parser, main
+from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import decide_undistorted
 from nildist.words import parse
@@ -227,6 +229,31 @@ def test_usage_errors_exit_1(capsys):
 
     code, _, err = run(capsys, "exponent", "-m", "2", "-c", "2", "a a^-1")
     assert code == 1
+
+    # the input checks' ValueErrors are refusals too
+    for argv, message in (
+        (("nf", "-m", "0", "-c", "2", "a"), "rank must be a positive integer, got 0"),
+        (("measure", "-m", "2", "-c", "2", "--radius", "-1", "a"),
+         "radius must be nonnegative"),
+        (("exponent", "-m", "2", "-c", "2", "1"),
+         "the trivial element generates no cyclic subgroup"),
+        (("nf", "-m", "2", "-c", "2", "a^" + "1" * 5000),
+         "integer of 5000 digits exceeds the limit 1000000 (at position 2)"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"nildist: error: {message}\n")
+
+
+def test_a_value_error_inside_the_kernel_exits_3(capsys, monkeypatch):
+    # a product across presentations raises the kernel's own ValueError,
+    # which no input can reach: a fault, not a usage error
+    elsewhere = embed(((0, 1),), Presentation(3, 2))
+    monkeypatch.setattr(cli, "multiply", lambda g, h: multiply(g, elsewhere))
+    assert run(capsys, "mul", "-m", "2", "-c", "2", "a", "b") == (
+        3,
+        "",
+        "nildist: internal inconsistency: "
+        "elements live in different presentations\n",
+    )
 
 
 def test_cap_exceeded_exits_2(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -23,12 +24,19 @@ from nildist.distortion import (
     _bfs,
     _sift,
     _step_cache,
+    _subgroup_lengths,
     enumerate_ball,
     estimate_exponent,
     measure_distortion,
 )
 from nildist.errors import CapExceededError
-from nildist.hall import apply_step, from_coordinates, hall_basis, to_coordinates
+from nildist.hall import (
+    apply_step_columns,
+    from_coordinates,
+    hall_basis,
+    letter_steps,
+    to_coordinates,
+)
 from nildist.magnus import embed, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import induced_basis, member
@@ -105,20 +113,19 @@ def coordinate_items(lengths):
     return [(to_coordinates(g), length) for g, length in lengths.items()]
 
 
-def _search(items):
-    """The items a search yields, and its cap message or None."""
+def _search(chunks):
+    """The items a search yields, chunk by chunk, flattened to (coordinates,
+    length) pairs, and its cap message or None."""
     seen = []
     try:
-        for item in items:
-            seen.append(item)
+        for elements, length in chunks:
+            seen += [(x, length) for x in elements]
     except CapExceededError as err:
         return seen, str(err)
     return seen, None
 
 
-@settings(max_examples=60, deadline=None)
-@given(word_searches())
-def test_bfs_matches_the_plain_search(case):
+def _check_against_the_plain_search(case):
     # the same items in the same order; with room for one element past the
     # ball of radius r - 1, the same items before the same cap error
     p, gens, radius = case
@@ -134,25 +141,64 @@ def test_bfs_matches_the_plain_search(case):
     assert _search(_bfs(p, slps, radius, cap)) == expected
 
 
-def test_ambient_products_only_step_outward(monkeypatch):
-    # the ambient Cayley graph is bipartite, so once the steps back to a
-    # parent are skipped every product lands one layer further out
-    products = []
+@settings(max_examples=60, deadline=None)
+@given(word_searches())
+def test_bfs_matches_the_plain_search(case):
+    _check_against_the_plain_search(case)
 
-    def recording(x, step):
-        product = apply_step(x, step)
-        products.append((x, product))
-        return product
 
-    monkeypatch.setattr(distortion, "apply_step", recording)
-    p = Presentation(2, 3)
-    ball = enumerate_ball(p, ambient(p), 5)
-    assert len(products) >= len(ball) - 1
-    assert all(ball.lengths[h] == ball.lengths[g] + 1 for g, h in products)
-    # the plain search takes 11,380 products here
-    products.clear()
-    assert len(enumerate_ball(P22, ambient(P22), 10)) == 4309
-    assert len(products) <= 6928
+@pytest.mark.parametrize("chunk", [1, 3])
+@settings(max_examples=20, deadline=None)
+@given(case=word_searches())
+def test_bfs_matches_the_plain_search_in_small_chunks(chunk, case):
+    # frontier chunks of 1 and 3 elements put the caps both inside a chunk
+    # and on a chunk edge
+    with patch.object(distortion, "_CHUNK", chunk):
+        _check_against_the_plain_search(case)
+
+
+def test_each_frontier_element_meets_each_step_once(monkeypatch):
+    # every element of layers 0 .. r - 1 is multiplied by every step once,
+    # and every element the search yields carries its word length
+    calls = []
+
+    def recording(columns, step):
+        calls.extend((x, id(step)) for x in zip(*columns))
+        return apply_step_columns(columns, step)
+
+    monkeypatch.setattr(distortion, "apply_step_columns", recording)
+    monkeypatch.setattr(distortion, "_CHUNK", 5)
+    p, radius = Presentation(2, 3), 4
+    oracle = dict(coordinate_items(element_ball(p, radius)))
+    yielded = 0
+    for elements, length in _bfs(p, ambient(p), radius, len(oracle)):
+        assert all(oracle[x] == length for x in elements)
+        yielded += len(elements)
+    assert yielded == len(oracle)
+    inner = [x for x, length in oracle.items() if length < radius]
+    steps = [id(step) for step in letter_steps(p)]
+    assert sorted(calls) == sorted((x, t) for x in inner for t in steps)
+
+
+def test_subgroup_lengths_stop_within_a_chunk_of_the_last_target(monkeypatch):
+    # the search ends with the chunk that yields its last target
+    ball = list(enumerate_ball(P22, ambient(P22), 6).lengths)
+    targets = dict.fromkeys(ball[:300:7])
+    chunks = []
+
+    def recording(*args):
+        for elements, length in _bfs(*args):
+            chunks.append(elements)
+            yield elements, length
+
+    monkeypatch.setattr(distortion, "_bfs", recording)
+    monkeypatch.setattr(distortion, "_CHUNK", 4)
+    last = ball[294]
+    found = _subgroup_lengths(P22, ambient(P22), targets, 10**6, 6, _step_cache(P22))
+    assert found.keys() == targets.keys()
+    assert last in chunks[-1]
+    # a chunk of 4 frontier elements yields at most 4 * 4 new ones
+    assert sum(map(len, chunks)) <= 295 + 16
 
 
 def test_ball_lengths_satisfy_triangle_inequality():
@@ -255,6 +301,31 @@ def test_measure_whole_group_is_linear():
     assert table.complete
 
 
+def test_measure_whole_group_skips_the_sift_and_the_second_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("not needed when H = G")
+
+    monkeypatch.setattr(distortion, "_sift", refuse)
+    monkeypatch.setattr(distortion, "_subgroup_lengths", refuse)
+    for words in (("a", "b"), ("b^-1", "a", "a^-1")):
+        table = measure_distortion([parse(w, P22) for w in words], P22, 6)
+        assert [row.delta for row in table.rows] == [1, 2, 3, 4, 5, 6]
+        assert table.complete
+
+    # H = G over other steps: every element is a member, but its subgroup
+    # length comes from the second search
+    monkeypatch.undo()
+    monkeypatch.setattr(distortion, "_sift", refuse)
+    table = measure_distortion([parse(w, P22) for w in ("a", "b", "a b")], P22, 6)
+    oracle = triple_ball([HEIS_A, HEIS_B], 6)
+    sub_oracle = triple_ball([HEIS_A, HEIS_B, heis_mul(HEIS_A, HEIS_B)], 6)
+    for row in table.rows:
+        assert row.exact
+        assert row.delta == max(
+            sub_oracle[t] for t, length in oracle.items() if length <= row.n
+        )
+
+
 def test_measure_free_abelian_cyclic():
     table = measure_distortion([parse("a", P22)], P22, 5)
     assert [row.delta for row in table.rows] == [1, 2, 3, 4, 5]
@@ -294,6 +365,24 @@ def test_measure_flags_truncated_rows():
     )
     assert not table.complete
     assert any(not row.exact for row in table.rows)
+
+
+def test_an_unresolved_member_flags_every_row_from_its_length_on(monkeypatch):
+    # a, at ambient length 1, loses its subgroup length: rows 1 .. r all
+    # read it, so none is exact, and the deltas stand as lower bounds
+    gens = [parse("a", P22), parse("[a,b]", P22)]
+    exact = measure_distortion(gens, P22, 5)
+    lengths = distortion._subgroup_lengths
+
+    def losing_a(*args):
+        found = lengths(*args)
+        del found[(1, 0, 0)]
+        return found
+
+    monkeypatch.setattr(distortion, "_subgroup_lengths", losing_a)
+    table = measure_distortion(gens, P22, 5)
+    assert [row.exact for row in table.rows] == [False] * 5
+    assert [row.delta for row in table.rows] == [row.delta for row in exact.rows]
 
 
 def test_measure_flags_rows_when_subgroup_search_hits_element_cap():

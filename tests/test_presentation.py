@@ -81,6 +81,28 @@ def test_equal_presentations_are_one_object():
     assert Presentation(2, 3, max_hirsch=30) is not p
 
 
+def test_a_repeated_call_skips_the_checks(monkeypatch):
+    p = Presentation(2, 3)
+    q = Presentation(1, 4)
+    assert Presentation(1, 1) is q and q.c == 1
+    hashed = hash(p)
+
+    def refuse(self):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(Presentation, "__post_init__", refuse)
+    assert Presentation(2, 3) is p and hash(p) == hashed
+    assert Presentation(1, 4) is q
+    monkeypatch.undo()
+    # equal arguments of another type are looked up apart and checked anew
+    with pytest.raises(ValueError, match=r"^rank must be a positive integer, got 2.0$"):
+        Presentation(2.0, 3)
+    with pytest.raises(ValueError, match=r"^class must be a positive integer, got 3.0$"):
+        Presentation(2, 3.0)
+    # an unhashable argument skips the lookup
+    assert Presentation(2, 3, names=["a", "b"]) is p
+
+
 def test_presentation_caches_are_bounded():
     # a caller that makes more presentations than the caches keep evicts the
     # oldest; one made again afterwards is a new object, equal by value
@@ -96,6 +118,7 @@ def test_presentation_caches_are_bounded():
         embed(((0, 1), (0, -1)), q)
         assert parse_word(q.names[0], q) == ((0, 1),)
     for cache in (
+        presentation._made,
         presentation._intern,
         presentation._name_table,
         hall.hall_basis,

@@ -1,15 +1,19 @@
 """Step maps: x -> x s on Mal'cev coordinates, interpolated once from the
 polynomial engine (hall.step_map) and checked here against it."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_word
 from nildist import distortion, hall
 from nildist.errors import InternalInconsistencyError
 from nildist.hall import (
     apply_step,
+    apply_step_columns,
     from_coordinates,
     hall_basis,
     letter_steps,
@@ -177,3 +181,44 @@ def test_measure_derives_the_subgroup_maps_once(monkeypatch):
         assert derived
         assert len(set(derived)) == len(derived)
         assert not letters & set(derived)
+
+
+@functools.cache
+def column_cases():
+    """(Hirsch length, step map) pairs: the letter maps of F(2,2), F(2,3),
+    F(3,2), F(2,5) and F(5,3), and the maps of a^2 b^-1, of the first basis
+    entry of weight 2 and of a product of weight-2 entries.  Those of F(2,3)
+    and up build binomials C(x_k, j) with j >= 2."""
+    cases = []
+    for m, c in ((2, 2), (2, 3), (3, 2), (2, 5), (5, 3)):
+        p = Presentation(m, c)
+        basis = hall_basis(p)
+        heavier = [
+            embed(((0, 2), (1, -1)), p),
+            basis.element(basis.block(2)[0]),
+            from_coordinates(
+                tuple(2 if e.weight == 2 else 0 for e in basis.entries), p
+            ),
+        ]
+        steps = [*letter_steps(p), *map(step_map, heavier)]
+        cases += [(len(basis), step) for step in steps]
+    return cases
+
+
+@st.composite
+def column_inputs(draw):
+    length, step = draw(st.sampled_from(column_cases()))
+    entry = st.integers(-40, 40)
+    tuples = draw(st.lists(st.tuples(*[entry] * length), max_size=6))
+    return length, tuples, step
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_inputs())
+def test_apply_step_columns_matches_apply_step(case):
+    # columns of 0 to 6 entries, negative ones included
+    length, tuples, step = case
+    columns = [[x[k] for x in tuples] for k in range(length)]
+    assert list(zip(*apply_step_columns(columns, step))) == [
+        apply_step(x, step) for x in tuples
+    ]
