@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed words,
-an errors.InputError), 2 when a resource cap is exceeded, 3 on internal
-inconsistencies, among them any other ValueError.
+an errors.InputError), 2 when a resource cap is exceeded or memory runs
+out, 3 on internal inconsistencies, among them any other ValueError.
 
 Dispatch: when the first argument names a command, the rest go straight to
 that command's own parser, one argparse pass; anything else (no arguments,
@@ -301,6 +301,12 @@ def main(argv=None) -> int:
         # a ValueError no input check raised is a fault, not bad input
         print(f"nildist: internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        pass
+    # reported past the handler, once the traceback has released the frames
+    # of the failed command and what they held
+    print("nildist: cap exceeded: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

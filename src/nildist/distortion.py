@@ -12,12 +12,12 @@ polynomials of Leedham-Green and Soicher (LMS J. Comput. Math. 1, 1998)
 are the same maps in general form.  hall.step_map interpolates one per
 step from the polynomial engine, by finite differences in the binomial
 basis on the points of weighted degree <= c - w, and checks it against the
-engine at points off that set.  The 2m letter maps are derived on a
-presentation's first search and cached for as many presentations as the
-Hall bases are.  measure_distortion keeps one map cache per call, keyed by
-step element and holding the letter maps from the start; the subgroup
-search and the member sift read it, so no element's map is derived twice
-in a call.  No step touches a polynomial.
+engine at points off that set.  step_map is the one map cache, one per
+process, keyed by step element: a letter's map, and the maps of a
+subgroup's generators and pivot elements, are each derived on first use
+and read by every later search and sift, in this call and later ones,
+while they stay among the last 20 * CACHED_PRESENTATIONS elements.  No
+step touches a polynomial.
 
 Each search grows its ball layer by layer from the identity and cuts
 every layer's frontier into chunks of _CHUNK elements.  A chunk is
@@ -39,12 +39,15 @@ returns word lengths keyed by coordinate tuple.
 Delta(n) is the largest subgroup length among ball elements that lie in the
 subgroup.  An element's weight-1 coordinates are its exponent sums, so one
 outside the subgroup's abelianization is rejected on its tuple.  The rest
-are sifted on their tuples along the subgroup's pivots: the first nonzero
-coordinate x_j must be a multiple q of the pivot value of H's slot t at j,
-and then x t^-q has it zeroed.  At a pivot of weight w <= c/2 that takes
-|q| steps; past half the class x lies in gamma_w, which is abelian, and
+are sifted on their tuples, all in one batch, along the subgroup's pivots:
+a first nonzero coordinate x_j must be a multiple q of the pivot value of
+H's slot t at j, and then x t^-q has it zeroed.  At a pivot of weight
+w <= c/2 that takes |q| steps, taken in rounds: every tuple with x_j > 0
+steps by t^-1 in one column map, and every one with x_j < 0 by t in
+another.  Past half the class x lies in gamma_w, which is abelian, and
 t^-q subtracts q times t's coordinates, as in hall.to_coordinates.  Over
-the three benchmark tables that is 656 steps for 367 survivors.  For a
+the three benchmark tables that is 656 steps for 367 survivors, in 22
+column maps.  For a
 cyclic subgroup <u> the subgroup length of u^k is |k| exactly, read off
 the first nonzero coordinate; otherwise a second search over the
 subgroup's own generators supplies the lengths.  When that second search
@@ -66,8 +69,8 @@ from itertools import chain, compress, filterfalse, repeat
 from operator import itemgetter
 
 from .errors import CapExceededError, InputError
-from .hall import apply_step, apply_step_columns, hall_basis, letter_steps, step_map
-from .magnus import embed, evaluate, inverse
+from .hall import apply_step_columns, hall_basis, step_map
+from .magnus import evaluate, inverse
 from .presentation import Presentation
 from .subgroups import induced_basis
 from .words import Slp
@@ -82,24 +85,6 @@ DEFAULT_MAX_ELEMENTS = 400_000
 
 # frontier elements multiplied out per batch of column maps
 _CHUNK = 1024
-
-
-class _StepMaps(dict):
-    """Step maps keyed by step element, each derived on its first read."""
-
-    def __missing__(self, s):
-        step = self[s] = step_map(s)
-        return step
-
-
-def _step_cache(presentation):
-    """A step map cache holding the presentation's cached letter maps."""
-    letters = (
-        embed(((i, sign),), presentation)
-        for i in range(presentation.m)
-        for sign in (1, -1)
-    )
-    return _StepMaps(zip(letters, letter_steps(presentation)))
 
 
 @dataclass
@@ -123,14 +108,12 @@ def _steps(presentation, gens):
     return steps
 
 
-def _bfs(presentation, gens, radius, max_elements, maps=None):
+def _bfs(presentation, gens, radius, max_elements):
     """Yield (coordinate tuples, word length) over gens and their inverses,
     breadth first, out to the given radius, a frontier chunk's new elements
     at a time.  Raises CapExceededError rather than yield more than
     max_elements elements."""
-    if maps is None:
-        maps = _step_cache(presentation)
-    steps = [maps[s] for s in _steps(presentation, gens)]
+    steps = [step_map(s) for s in _steps(presentation, gens)]
     start = (0,) * presentation.hirsch_length
     yield [start], 0
     count = 1
@@ -176,6 +159,8 @@ def enumerate_ball(
         raise InputError("radius must be nonnegative")
     if not gens:
         raise InputError("need at least one generator")
+    if max_elements < 1:
+        raise InputError("max_elements must be at least 1")
     lengths = {}
     for elements, length in _bfs(presentation, gens, radius, max_elements):
         lengths.update(zip(elements, repeat(length)))
@@ -206,7 +191,7 @@ class DistortionTable:
         return "\n".join(lines) + "\n"
 
 
-def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap, maps):
+def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap):
     """Subgroup lengths of the target elements, by BFS over gens.
 
     Stops once every target is found or a cap is reached; targets missing
@@ -214,9 +199,7 @@ def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap, map
     """
     found = {}
     try:
-        for elements, length in _bfs(
-            presentation, gens, radius_cap, max_elements, maps
-        ):
+        for elements, length in _bfs(presentation, gens, radius_cap, max_elements):
             found.update(zip(filter(targets.__contains__, elements), repeat(length)))
             if len(found) == len(targets):
                 break
@@ -225,33 +208,46 @@ def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap, map
     return found
 
 
-def _sift(x, basis, maps, pivot_steps, half):
-    """Whether the element with coordinates x lies in H, decided on the
-    tuple.  Where x's first nonzero coordinate x_j is, H's slot t at pivot
-    j must exist and its value must divide x_j; then x t^-q with q = x_j /
-    t.value has x_j zeroed and the coordinates before j still zero, because
-    the series has central cyclic factors, and lies in H exactly when x
-    does.  Below coordinate half, the first of weight > c/2, x t^-q takes
-    |q| steps by t^-1 or t, whose maps pivot_steps keeps by (j, q > 0).
-    From there on x and t lie in gamma_w with 2w > c, which is abelian, so
-    coordinates subtract."""
-    for j in range(len(x)):
-        if not x[j]:
-            continue
+def _sift(batch, basis):
+    """The tuples of batch whose elements lie in H, in batch order, decided
+    on the tuples one coordinate j at a time.  A tuple x whose first
+    nonzero coordinate is x_j needs H's slot t at pivot j, and t's value
+    must divide x_j; then x t^-q with q = x_j / t.value has x_j zeroed and
+    the coordinates before j still zero, because the series has central
+    cyclic factors, and lies in H exactly when x does.  Below coordinate
+    half, the first of weight > c/2, the tuples step in rounds until every
+    x_j is zero: those with x_j > 0 by t^-1 and those with x_j < 0 by t,
+    each group as one column map, and a map is read only for a sign that
+    occurs.  From there on x and t lie in gamma_w with 2w > c, which is
+    abelian, so coordinates subtract."""
+    p = basis.presentation
+    half = hall_basis(p).block(p.c // 2 + 1).start
+    live = dict(enumerate(batch))  # the tuples not yet refused, as reduced
+    for j in range(p.hirsch_length):
         t = basis.slot(j)
-        if t is None or x[j] % t.value:
-            return False
-        q = x[j] // t.value
-        if j >= half:
-            x = [a - q * b for a, b in zip(x, t.coords)]
-            continue
-        step = pivot_steps.get((j, q > 0))
-        if step is None:
-            s = inverse(t.element) if q > 0 else t.element
-            step = pivot_steps[j, q > 0] = maps[s]
-        for _ in range(abs(q)):
-            x = apply_step(x, step)
-    return True
+        groups = {}  # below half, the tuples to step, by the sign of x_j
+        for i, x in list(live.items()):
+            if not x[j]:
+                continue
+            if t is None or x[j] % t.value:
+                del live[i]
+            elif j >= half:
+                q = x[j] // t.value
+                live[i] = tuple([a - q * b for a, b in zip(x, t.coords)])
+            else:
+                groups.setdefault(x[j] > 0, {})[i] = x
+        for positive, group in groups.items():
+            step = step_map(inverse(t.element) if positive else t.element)
+            while group:
+                products = apply_step_columns(list(zip(*group.values())), step)
+                reduced = zip(group, zip(*products))
+                group = {}
+                for i, x in reduced:
+                    if x[j]:
+                        group[i] = x
+                    else:
+                        live[i] = x
+    return [batch[i] for i in live]
 
 
 def measure_distortion(
@@ -266,7 +262,6 @@ def measure_distortion(
     letters = [Slp.letter(i) for i in range(presentation.m)]
     ball = enumerate_ball(presentation, letters, radius, max_elements=max_elements)
     basis = induced_basis(gens, presentation)
-    maps = _step_cache(presentation)
 
     lengths = ball.lengths
     # H = G when H has pivot value 1 at every coordinate
@@ -284,13 +279,7 @@ def measure_distortion(
             for v in set(map(sums, lengths))
         }
         candidates = compress(lengths, map(in_lattice.__getitem__, map(sums, lengths)))
-        pivot_steps = {}
-        half = hall_basis(presentation).block(presentation.c // 2 + 1).start
-        members = {
-            x: lengths[x]
-            for x in candidates
-            if _sift(x, basis, maps, pivot_steps, half)
-        }
+        members = {x: lengths[x] for x in _sift(list(candidates), basis)}
 
     if len(basis) == 1:
         # members are the powers entry.element^k; for k != 0 the first
@@ -310,7 +299,7 @@ def measure_distortion(
         if subgroup_radius_cap is None:
             subgroup_radius_cap = max(4 * radius + 4, 16)
         hlengths = _subgroup_lengths(
-            presentation, gens, members, max_elements, subgroup_radius_cap, maps
+            presentation, gens, members, max_elements, subgroup_radius_cap
         )
 
     # the largest resolved subgroup length at each ambient length, and

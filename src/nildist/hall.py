@@ -36,13 +36,14 @@ of the engine's values on the staircase of exponent vectors of weighted
 degree <= c - w.  For a letter that is 3, 7 and 4 points for F(2,2), F(2,3)
 and F(3,2), 31 for F(5,3), 127 for F(2,7); a heavier step takes fewer, 3
 for [a,b] in F(2,3) and 31 for [a,[b,a]] in F(2,7), and a central one
-takes 1.  apply_step evaluates the map on one tuple from its coefficient
-table, for the member sift and for step_map's own check;
-apply_step_columns evaluates it on many tuples at once, given as their
-coordinate columns, with one map over a column per monomial and per row
-term, for the ball searches.  letter_steps keeps the 2m letter maps of a
-presentation; they are derived on first use, never while the Hall basis
-is built.
+takes 1.  apply_step_columns is the one evaluator: it takes a map over
+many tuples at once, given as their coordinate columns, with one map over
+a column per monomial and per row term.  The ball searches step a frontier
+chunk by it, the member sift a batch of tuples, and step_map's own check
+its three check points.  step_map is the one cache, one per process: it
+keeps the maps of the last 20 * CACHED_PRESENTATIONS step elements, letters
+and subgroup elements alike, each derived on its first use, never while
+the Hall basis is built.
 """
 
 from __future__ import annotations
@@ -285,29 +286,8 @@ class StepMap(NamedTuple):
     rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
-def _binomial(x: int, j: int) -> int:
-    # C(x, j) for any integer x: r * (x - i) is (i + 1) C(x, i + 1)
-    r = 1
-    for i in range(j):
-        r = r * (x - i) // (i + 1)
-    return r
-
-
-def apply_step(x: MalcevCoords, step: StepMap) -> MalcevCoords:
-    """The coordinates of x s, for step = step_map(s)."""
-    monomials, rows = step
-    values = [1, *x]
-    for base, k, j in monomials:
-        values.append(values[base] * (x[k] if j == 1 else _binomial(x[k], j)))
-    y = list(x)
-    for i, terms in rows:
-        for coeff, t in terms:
-            y[i] += coeff * values[t]
-    return tuple(y)
-
-
 def _binomial_column(column, j: int):
-    # C(x, j) entrywise, by the recurrence of _binomial
+    # C(x, j) entrywise for any integers x: r * (x - i) is (i + 1) C(x, i + 1)
     r = column
     for i in range(1, j):
         r = map(floordiv, map(mul, r, map(sub, column, repeat(i))), repeat(i + 1))
@@ -315,11 +295,12 @@ def _binomial_column(column, j: int):
 
 
 def apply_step_columns(columns, step: StepMap) -> list:
-    """apply_step on many tuples at once, given as their coordinate columns
-    (columns[k] holds x_k of every tuple): the columns of the products x s.
-    Each monomial and each row term is one map over a whole column, so the
-    per-element work runs in C.  A column without a row comes back as it
-    went in; a row's column is a lazy map, to be read once."""
+    """The columns of the products x s, for step = step_map(s) and many
+    tuples x given as their coordinate columns (columns[k] holds x_k of
+    every tuple).  Each monomial and each row term is one map over a whole
+    column, so the per-element work runs in C.  A column without a row
+    comes back as it went in; a row's column is a lazy map, to be read
+    once."""
     monomials, rows = step
     values = [None, *columns]  # values[0], the constant 1, is never read
     for base, k, j in monomials:
@@ -381,6 +362,10 @@ def _engine_step(x, s: GroupElement) -> MalcevCoords:
     return to_coordinates(multiply(from_coordinates(x, s.presentation), s))
 
 
+# one entry per step element: the 2m <= 20 letters of a presentation of
+# class >= 2 under the default Hirsch cap, and the generators and pivot
+# elements of the subgroups measured in it
+@lru_cache(maxsize=20 * CACHED_PRESENTATIONS)
 def step_map(s: GroupElement) -> StepMap:
     """The map x -> x s on Mal'cev coordinates, interpolated from the engine.
 
@@ -429,20 +414,13 @@ def step_map(s: GroupElement) -> StepMap:
             rows.append((i, terms))
     step = StepMap(tuple(monomials), tuple(rows))
 
-    for pattern in _CHECK_PATTERNS:
-        x = tuple(pattern[k % len(pattern)] for k in range(length))
-        if apply_step(x, step) != _engine_step(x, s):
-            raise InternalInconsistencyError(
-                "interpolated step map disagrees with the engine"
-            )
+    checks = [
+        tuple(pattern[k % len(pattern)] for k in range(length))
+        for pattern in _CHECK_PATTERNS
+    ]
+    products = zip(*apply_step_columns(list(zip(*checks)), step))
+    if list(products) != [_engine_step(x, s) for x in checks]:
+        raise InternalInconsistencyError(
+            "interpolated step map disagrees with the engine"
+        )
     return step
-
-
-@lru_cache(maxsize=CACHED_PRESENTATIONS)
-def letter_steps(presentation: Presentation) -> tuple[StepMap, ...]:
-    """The step maps of a_1, a_1^-1, ..., a_m, a_m^-1, in that order."""
-    return tuple(
-        step_map(embed(((i, sign),), presentation))
-        for i in range(presentation.m)
-        for sign in (1, -1)
-    )

@@ -235,6 +235,10 @@ def test_usage_errors_exit_1(capsys):
         (("nf", "-m", "0", "-c", "2", "a"), "rank must be a positive integer, got 0"),
         (("measure", "-m", "2", "-c", "2", "--radius", "-1", "a"),
          "radius must be nonnegative"),
+        (("measure", "-m", "2", "-c", "2", "--max-elements", "0", "a"),
+         "max_elements must be at least 1"),
+        (("measure", "-m", "2", "-c", "2", "--max-elements", "-5", "a"),
+         "max_elements must be at least 1"),
         (("exponent", "-m", "2", "-c", "2", "1"),
          "the trivial element generates no cyclic subgroup"),
         (("nf", "-m", "2", "-c", "2", "a^" + "1" * 5000),
@@ -361,11 +365,12 @@ def test_indented_json_is_json_dumps_byte_for_byte():
         assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-def run_limited(*argv):
-    """The CLI in a fresh process whose address space is capped at 256 MB."""
+def run_limited(*argv, megabytes=256):
+    """The CLI in a fresh process whose address space is capped, at 256 MB
+    unless told otherwise."""
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
 
     env = dict(os.environ, PYTHONPATH=str(Path(nildist.__file__).parent.parent))
     return subprocess.run(
@@ -524,4 +529,16 @@ def test_a_ball_past_the_default_cap_exits_2_in_256_mb():
         2,
         "",
         "nildist: cap exceeded: ball exceeded 400000 elements at radius 10\n",
+    )
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback():
+    # the radius-9 ball of F(3,2) peaks at about 98 MB RSS
+    result = run_limited(
+        "measure", "-m", "3", "-c", "2", "--radius", "9", "a", megabytes=96
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2,
+        "",
+        "nildist: cap exceeded: out of memory\n",
     )

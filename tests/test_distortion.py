@@ -23,7 +23,6 @@ from nildist.distortion import (
     DistortionTable,
     _bfs,
     _sift,
-    _step_cache,
     _subgroup_lengths,
     enumerate_ball,
     estimate_exponent,
@@ -33,8 +32,7 @@ from nildist.errors import CapExceededError
 from nildist.hall import (
     apply_step_columns,
     from_coordinates,
-    hall_basis,
-    letter_steps,
+    step_map,
     to_coordinates,
 )
 from nildist.magnus import embed, multiply
@@ -176,7 +174,8 @@ def test_each_frontier_element_meets_each_step_once(monkeypatch):
         yielded += len(elements)
     assert yielded == len(oracle)
     inner = [x for x, length in oracle.items() if length < radius]
-    steps = [id(step) for step in letter_steps(p)]
+    letters = [embed(((i, sign),), p) for i in range(p.m) for sign in (1, -1)]
+    steps = [id(step_map(s)) for s in letters]
     assert sorted(calls) == sorted((x, t) for x in inner for t in steps)
 
 
@@ -194,7 +193,7 @@ def test_subgroup_lengths_stop_within_a_chunk_of_the_last_target(monkeypatch):
     monkeypatch.setattr(distortion, "_bfs", recording)
     monkeypatch.setattr(distortion, "_CHUNK", 4)
     last = ball[294]
-    found = _subgroup_lengths(P22, ambient(P22), targets, 10**6, 6, _step_cache(P22))
+    found = _subgroup_lengths(P22, ambient(P22), targets, 10**6, 6)
     assert found.keys() == targets.keys()
     assert last in chunks[-1]
     # a chunk of 4 frontier elements yields at most 4 * 4 new ones
@@ -229,6 +228,9 @@ def test_ball_input_validation():
         enumerate_ball(P22, ambient(P22), -1)
     with pytest.raises(ValueError):
         enumerate_ball(P22, [], 2)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_elements must be at least 1"):
+            enumerate_ball(P22, ambient(P22), 2, max_elements=cap)
     with pytest.raises(CapExceededError):
         enumerate_ball(P22, ambient(P22), 4, max_elements=20)
     # the radius-2 ball has exactly 17 elements
@@ -244,8 +246,9 @@ PIVOTED = (("a^2", "[a,b]^3"), ("a^2 b^4", "[a,b]^2"), ("b^3", "[b,a]^2 a^6"))
 @st.composite
 def sift_cases(draw):
     """A subgroup of F(2,2), F(2,3), F(3,2) or F(2,4), from PIVOTED or of
-    1-3 random words, and a tuple: an element of H, that element with one
-    coordinate moved by +-1, or a random tuple, negative entries included."""
+    1-3 random words, and a batch of 0-12 tuples, each an element of H,
+    that element with one coordinate moved by +-1, or a random tuple,
+    negative entries included."""
     m, c = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4))))
     p = Presentation(m, c)
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -253,29 +256,32 @@ def sift_cases(draw):
         gens = [parse_word(w, p) for w in draw(st.sampled_from(PIVOTED))]
     else:
         gens = [random_word(rng, m, 5, min_len=1) for _ in range(rng.randint(1, 3))]
-    kind = draw(st.sampled_from(("member", "moved", "random")))
-    if kind == "random":
-        x = tuple(rng.randint(-9, 9) for _ in range(p.hirsch_length))
-    else:
-        word = []
-        for _ in range(rng.randint(0, 4)):
-            g = rng.choice(gens)
-            word += g if rng.random() < 0.5 else [(i, -e) for i, e in g[::-1]]
-        x = list(to_coordinates(embed(tuple(word), p)))
-        if kind == "moved":
-            x[rng.randrange(len(x))] += rng.choice((-1, 1))
-        x = tuple(x)
-    return p, gens, x
+    kinds = draw(st.lists(st.sampled_from(("member", "moved", "random")), max_size=12))
+    batch = []
+    for kind in kinds:
+        if kind == "random":
+            x = tuple(rng.randint(-9, 9) for _ in range(p.hirsch_length))
+        else:
+            word = []
+            for _ in range(rng.randint(0, 4)):
+                g = rng.choice(gens)
+                word += g if rng.random() < 0.5 else [(i, -e) for i, e in g[::-1]]
+            x = list(to_coordinates(embed(tuple(word), p)))
+            if kind == "moved":
+                x[rng.randrange(len(x))] += rng.choice((-1, 1))
+            x = tuple(x)
+        batch.append(x)
+    return p, gens, batch
 
 
 @settings(max_examples=150, deadline=None)
 @given(sift_cases())
 def test_sift_agrees_with_member(case):
-    p, gens, x = case
+    # one batch, repeats included, sifted in its order
+    p, gens, batch = case
     basis = induced_basis([word_slp(w) for w in gens], p)
-    expected = member(basis, from_coordinates(x, p))
-    half = hall_basis(p).block(p.c // 2 + 1).start
-    assert _sift(x, basis, _step_cache(p), {}, half) == expected
+    expected = [x for x in batch if member(basis, from_coordinates(x, p))]
+    assert _sift(batch, basis) == expected
 
 
 def test_measure_central_cyclic_subgroup():

@@ -25,7 +25,7 @@ from oracles import (
 from nildist import magnus
 from nildist.distortion import enumerate_ball
 from nildist.errors import InternalInconsistencyError
-from nildist.hall import letter_steps, to_coordinates
+from nildist.hall import step_map, to_coordinates
 from nildist.magnus import (
     GroupElement,
     _degree_rows,
@@ -197,9 +197,11 @@ def test_each_right_operand_is_grouped_once(groupings):
 
 def test_ball_groups_its_steps_and_little_else(groupings):
     # the ball steps on coordinates; only deriving the letter maps, cached
-    # per presentation, takes products
+    # per step element, takes products
     p = Presentation(2, 3)
-    letter_steps(p)
+    for i in range(p.m):
+        for sign in (1, -1):
+            step_map(embed(((i, sign),), p))
     groupings.clear()
     ball = enumerate_ball(p, [Slp.letter(0), Slp.letter(1)], 4)
     assert len(ball) > 100

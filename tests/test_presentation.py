@@ -114,7 +114,7 @@ def test_presentation_caches_are_bounded():
     ]
     for q in made:
         hall.hall_basis(q)
-        hall.letter_steps(q)
+        hall.step_map(embed(((0, 1),), q))
         embed(((0, 1), (0, -1)), q)
         assert parse_word(q.names[0], q) == ((0, 1),)
     for cache in (
@@ -122,14 +122,18 @@ def test_presentation_caches_are_bounded():
         presentation._intern,
         presentation._name_table,
         hall.hall_basis,
-        hall.letter_steps,
+        hall.step_map,
         magnus._letter_image,
     ):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert presentation._intern.cache_info().currsize == CACHED_PRESENTATIONS
     assert hall.hall_basis.cache_info().currsize == CACHED_PRESENTATIONS
-    assert hall.letter_steps.cache_info().currsize == CACHED_PRESENTATIONS
+    # step maps are kept per step element, 20 for each cached presentation
+    q = made[-1]
+    for k in range(1, 20 * CACHED_PRESENTATIONS + 2):
+        hall.step_map(embed(((0, k),), q))
+    assert hall.step_map.cache_info().currsize == 20 * CACHED_PRESENTATIONS
     again = Presentation(2, 3, names=("s", "t"))
     assert again is not p and again == p and hash(again) == hash(p)
     # reading the Hirsch length on one side only leaves them equal

@@ -12,11 +12,9 @@ from oracles import random_word
 from nildist import distortion, hall
 from nildist.errors import InternalInconsistencyError
 from nildist.hall import (
-    apply_step,
     apply_step_columns,
     from_coordinates,
     hall_basis,
-    letter_steps,
     step_map,
     to_coordinates,
 )
@@ -33,31 +31,48 @@ def engine(x, s):
     return to_coordinates(multiply(from_coordinates(x, s.presentation), s))
 
 
+def letters(p):
+    """a_1, a_1^-1, ..., a_m, a_m^-1, the steps of the ambient ball."""
+    return [embed(((i, sign),), p) for i in range(p.m) for sign in (1, -1)]
+
+
+def check_against_the_engine(tuples, s, step):
+    """The step applied to the tuples as columns, one call, equals the
+    engine's product x s for each tuple x."""
+    length = len(hall_basis(s.presentation))
+    columns = [[x[k] for x in tuples] for k in range(length)]
+    assert list(zip(*apply_step_columns(columns, step))) == [
+        engine(x, s) for x in tuples
+    ]
+
+
 @pytest.mark.parametrize("m, c", GROUPS)
 def test_step_maps_match_the_engine(m, c):
     p = Presentation(m, c)
     rng = random.Random(f"step maps {m} {c}")
     length = len(hall_basis(p))
-    letters = [embed(((i, sign),), p) for i in range(m) for sign in (1, -1)]
-    cases = list(zip(letters, letter_steps(p)))
-    for _ in range(2):
-        s = embed(random_word(rng, m, 6, min_len=1), p)
-        cases.append((s, step_map(s)))
+    steps = letters(p)
+    steps += [embed(random_word(rng, m, 6, min_len=1), p) for _ in range(2)]
     points = 2 if length > 30 else 4
-    for s, step in cases:
-        for _ in range(points):
-            x = tuple(rng.randint(-20, 20) for _ in range(length))
-            assert apply_step(x, step) == engine(x, s)
+    for s in steps:
+        tuples = [
+            tuple(rng.randint(-20, 20) for _ in range(length)) for _ in range(points)
+        ]
+        check_against_the_engine(tuples, s, step_map(s))
 
 
 def test_letter_maps_are_the_heisenberg_law():
     # F(2,2) with basis a, b, [b,a]: a^x b^y [b,a]^z a = a^(x+1) b^y [b,a]^(z+y)
     p = Presentation(2, 2)
-    a, a_inv, b, b_inv = letter_steps(p)
-    assert apply_step((3, 5, 7), a) == (4, 5, 12)
-    assert apply_step((3, 5, 7), a_inv) == (2, 5, 2)
-    assert apply_step((3, 5, 7), b) == (3, 6, 7)
-    assert apply_step((3, 5, 7), b_inv) == (3, 4, 7)
+    # the tuples (3, 5, 7) and (-2, 4, 0), as columns
+    columns = [(3, -2), (5, 4), (7, 0)]
+    a, a_inv, b, b_inv = (
+        list(zip(*apply_step_columns(columns, step_map(s)))) for s in letters(p)
+    )
+    assert a == [(4, 5, 12), (-1, 4, 4)]
+    assert a_inv == [(2, 5, 2), (-3, 4, -4)]
+    assert b == [(3, 6, 7), (-2, 5, 0)]
+    assert b_inv == [(3, 4, 7), (-2, 3, 0)]
 
 
 def test_rows_respect_the_weight_bound():
@@ -98,10 +113,10 @@ def test_steps_of_every_weight_match_the_engine(m, c):
         steps += [step_of_weight(rng, p, w) for _ in range(2)]
         for s in steps:
             assert s.weight() == w
-            step = step_map(s)
-            for _ in range(3):
-                x = tuple(rng.randint(-20, 20) for _ in range(length))
-                assert apply_step(x, step) == engine(x, s)
+            tuples = [
+                tuple(rng.randint(-20, 20) for _ in range(length)) for _ in range(3)
+            ]
+            check_against_the_engine(tuples, s, step_map(s))
 
 
 @pytest.mark.parametrize(
@@ -115,7 +130,8 @@ def test_steps_of_every_weight_match_the_engine(m, c):
     ],
 )
 def test_a_heavier_step_reads_a_smaller_staircase(monkeypatch, m, c, word, points):
-    # one engine product per staircase point, then one per check point
+    # one engine product per staircase point, then one per check point, in a
+    # derivation past the cache
     p = Presentation(m, c)
     s = embed(parse_word(word, p), p)
     calls = []
@@ -125,7 +141,7 @@ def test_a_heavier_step_reads_a_smaller_staircase(monkeypatch, m, c, word, point
         return engine(x, s)
 
     monkeypatch.setattr(hall, "_engine_step", counting)
-    step_map(s)
+    step_map.__wrapped__(s)
     assert len(calls) == points + len(hall._CHECK_PATTERNS)
 
 
@@ -147,8 +163,9 @@ def test_a_spoiled_coefficient_table_is_caught(monkeypatch, m, c):
             return table
 
         monkeypatch.setattr(hall, "_differences", spoiled)
+        # past the cache, which holds the good map
         with pytest.raises(InternalInconsistencyError):
-            step_map(s)
+            step_map.__wrapped__(s)
         assert len(spoil) == 1
 
 
@@ -162,33 +179,45 @@ def test_hall_basis_set_up_derives_no_step_map(monkeypatch):
 
 
 def test_measure_derives_the_subgroup_maps_once(monkeypatch):
-    # the subgroup search and the sift read one cache per call, which holds
-    # the letter maps from the start, so no element's map is derived twice
-    derived = []
+    # step_map is the one cache: within a call no element's map is derived
+    # twice, and a repeated call derives none
+    requested, derived = [], []
 
-    def counting(s):
-        derived.append(s)
+    def requesting(s):
+        requested.append(s)
         return step_map(s)
 
-    monkeypatch.setattr(distortion, "step_map", counting)
+    def deriving(points, values):
+        # each derivation takes the differences once
+        derived.append(points)
+        return differences(points, values)
+
+    differences = hall._differences
+    monkeypatch.setattr(distortion, "step_map", requesting)
+    monkeypatch.setattr(hall, "_differences", deriving)
     cases = ((2, 3, ("a", "[a,b]")), (3, 2, ("[a,b]", "c")), (2, 3, ("a^2", "[a,b]^3")))
     for m, c, words in cases:
         p = Presentation(m, c)
-        letters = {embed(((i, sign),), p) for i in range(m) for sign in (1, -1)}
-        letter_steps(p)
+        gens = [parse(w, p) for w in words]
+        step_map.cache_clear()
+        requested.clear()
         derived.clear()
-        distortion.measure_distortion([parse(w, p) for w in words], p, 4)
-        assert derived
-        assert len(set(derived)) == len(derived)
-        assert not letters & set(derived)
+        distortion.measure_distortion(gens, p, 4)
+        # the letters, then the sift's pivot elements and the generators
+        # the second search walks
+        assert set(letters(p)) < set(requested)
+        assert len(derived) == len(set(requested))
+        distortion.measure_distortion(gens, p, 4)
+        assert len(derived) == len(set(requested))
+        assert step_map.cache_info().misses == len(derived)
 
 
 @functools.cache
 def column_cases():
-    """(Hirsch length, step map) pairs: the letter maps of F(2,2), F(2,3),
-    F(3,2), F(2,5) and F(5,3), and the maps of a^2 b^-1, of the first basis
-    entry of weight 2 and of a product of weight-2 entries.  Those of F(2,3)
-    and up build binomials C(x_k, j) with j >= 2."""
+    """(step, its map) pairs: the letters of F(2,2), F(2,3), F(3,2), F(2,5)
+    and F(5,3), a^2 b^-1, the first basis entry of weight 2 and a product of
+    weight-2 entries.  The maps of F(2,3) and up build binomials C(x_k, j)
+    with j >= 2."""
     cases = []
     for m, c in ((2, 2), (2, 3), (3, 2), (2, 5), (5, 3)):
         p = Presentation(m, c)
@@ -200,25 +229,22 @@ def column_cases():
                 tuple(2 if e.weight == 2 else 0 for e in basis.entries), p
             ),
         ]
-        steps = [*letter_steps(p), *map(step_map, heavier)]
-        cases += [(len(basis), step) for step in steps]
+        cases += [(s, step_map(s)) for s in letters(p) + heavier]
     return cases
 
 
 @st.composite
 def column_inputs(draw):
-    length, step = draw(st.sampled_from(column_cases()))
+    s, step = draw(st.sampled_from(column_cases()))
     entry = st.integers(-40, 40)
+    length = len(hall_basis(s.presentation))
     tuples = draw(st.lists(st.tuples(*[entry] * length), max_size=6))
-    return length, tuples, step
+    return tuples, s, step
 
 
 @settings(max_examples=150, deadline=None)
 @given(column_inputs())
-def test_apply_step_columns_matches_apply_step(case):
-    # columns of 0 to 6 entries, negative ones included
-    length, tuples, step = case
-    columns = [[x[k] for x in tuples] for k in range(length)]
-    assert list(zip(*apply_step_columns(columns, step))) == [
-        apply_step(x, step) for x in tuples
-    ]
+def test_apply_step_columns_matches_the_engine(case):
+    # columns of 0 to 6 entries, negative ones included; empty columns give
+    # empty columns back
+    check_against_the_engine(*case)
