@@ -98,7 +98,7 @@ def build_parser() -> _ArgumentParser:
         "--max-elements",
         type=int,
         default=DEFAULT_MAX_ELEMENTS,
-        help=f"cap on enumerated ball elements (default {DEFAULT_MAX_ELEMENTS:,})",
+        help=f"cap on walked ball elements (default {DEFAULT_MAX_ELEMENTS:,})",
     )
     return parser
 

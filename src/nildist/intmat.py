@@ -1,7 +1,8 @@
 """Exact integer matrix algebra.
 
-Row-style Hermite normal form with unimodular transformation tracking, and
-integral linear solving against one fixed matrix (RepeatedSolver).
+Row-style Hermite normal form, with the unimodular transformation tracked
+only where it is read (hermite_transform), and integral linear solving
+against one fixed matrix (RepeatedSolver), which reads it.
 Everything runs on arbitrary-precision integers; pivots are chosen by least
 absolute value to keep intermediate entries small.
 """
@@ -14,11 +15,11 @@ def _row_sub(target: list[int], source: list[int], q: int) -> None:
         target[j] -= q * source[j]
 
 
-def _hnf_lists(a: list[list[int]]):
-    """Reduce a in place to row HNF; return the tracked unimodular factor."""
+def _hnf_lists(a: list[list[int]], ncols: int) -> None:
+    """Reduce the first ncols columns of a in place to row HNF, applying
+    each row operation to the whole row, so that columns past ncols
+    record the operations."""
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     r = 0
     for col in range(ncols):
         if r == nrows:
@@ -30,14 +31,12 @@ def _hnf_lists(a: list[list[int]]):
             ipiv = min(nz, key=lambda i: (abs(a[i][col]), i))
             if ipiv != r:
                 a[r], a[ipiv] = a[ipiv], a[r]
-                u[r], u[ipiv] = u[ipiv], u[r]
             done = True
             for i in range(r + 1, nrows):
                 if a[i][col]:
                     q = a[i][col] // a[r][col]
                     if q:
                         _row_sub(a[i], a[r], q)
-                        _row_sub(u[i], u[r], q)
                     if a[i][col]:
                         done = False
             if done:
@@ -45,23 +44,29 @@ def _hnf_lists(a: list[list[int]]):
         if r < nrows and a[r][col]:
             if a[r][col] < 0:
                 a[r] = [-v for v in a[r]]
-                u[r] = [-v for v in u[r]]
             for i in range(r):
                 q = a[i][col] // a[r][col]
                 if q:
                     _row_sub(a[i], a[r], q)
-                    _row_sub(u[i], u[r], q)
             r += 1
-    return u
 
 
-def hermite_normal_form(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """Return (h, u) with h = u rows, u unimodular, h in row echelon form
-    with positive pivots and entries above each pivot reduced into
-    [0, pivot)."""
+def hermite_normal_form(rows) -> list[list[int]]:
+    """h = u rows for some unimodular u, in row echelon form with positive
+    pivots and entries above each pivot reduced into [0, pivot)."""
     h = [list(row) for row in rows]
-    u = _hnf_lists(h)
-    return h, u
+    _hnf_lists(h, len(h[0]) if h else 0)
+    return h
+
+
+def hermite_transform(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """(h, u): hermite_normal_form(rows) and the unimodular u with
+    h = u rows, tracked as identity columns beside rows."""
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    _hnf_lists(a, ncols)
+    return [row[:ncols] for row in a], [row[ncols:] for row in a]
 
 
 class RepeatedSolver:
@@ -77,8 +82,7 @@ class RepeatedSolver:
     def __init__(self, rows):
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-        h = [list(col) for col in zip(*rows)]
-        u = _hnf_lists(h)
+        h, u = hermite_transform(list(zip(*rows)))
         # (pivot column, pivot value, the nonzero entries of the row and of
         # its row of u)
         self.pivots = []

@@ -141,7 +141,7 @@ def retraction_for(elements, presentation: Presentation) -> Retraction:
     greedily from the last column down: the pivot columns of an echelon
     form with the columns reversed."""
     m = presentation.m
-    h, _ = hermite_normal_form([exponent_sums(g)[::-1] for g in elements])
+    h = hermite_normal_form([exponent_sums(g)[::-1] for g in elements])
     kept = {m - 1 - next(j for j, v in enumerate(row) if v) for row in h if any(row)}
     killed = tuple(j for j in range(m) if j not in kept)
     return Retraction(presentation, tuple(sorted(kept)), killed)

@@ -515,16 +515,22 @@ def test_analyze_json_leaves_no_reference_cycles(capsys):
 
 
 def test_large_ambient_ball_fits_in_256_mb():
-    # 350,591 elements; stored as polynomials they ran out of memory here
-    result = run_limited("measure", "-m", "3", "-c", "2", "--radius", "9", "a")
+    # 350,591 elements, all walked, since with H = G nothing is pruned;
+    # stored as polynomials they ran out of memory here
+    result = run_limited(
+        "measure", "-m", "3", "-c", "2", "--radius", "9", "a", "b", "c"
+    )
     assert result.returncode == 0, result.stderr
     rows = "".join(f"{n},{n},true\n" for n in range(1, 10))
     assert (result.stdout, result.stderr) == ("n,delta,exact\n" + rows, "")
 
 
 def test_a_ball_past_the_default_cap_exits_2_in_256_mb():
-    # the radius-10 ball of F(3,2) has more than 400,000 elements
-    result = run_limited("measure", "-m", "3", "-c", "2", "--radius", "10", "a")
+    # the radius-10 ball of F(3,2) has more than 400,000 elements, and with
+    # H = G the search walks all of them
+    result = run_limited(
+        "measure", "-m", "3", "-c", "2", "--radius", "10", "a", "b", "c"
+    )
     assert (result.returncode, result.stdout, result.stderr) == (
         2,
         "",
@@ -532,10 +538,35 @@ def test_a_ball_past_the_default_cap_exits_2_in_256_mb():
     )
 
 
+def test_a_pruned_search_measures_past_the_default_cap_in_256_mb():
+    # the same ball toward <a>: only the 62,925 elements whose exponent sums
+    # in b and c stay within the layers left are walked
+    result = run_limited("measure", "-m", "3", "-c", "2", "--radius", "10", "a")
+    rows = "".join(f"{n},{n},true\n" for n in range(1, 11))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0,
+        "n,delta,exact\n" + rows,
+        "",
+    )
+
+
+def test_a_long_tuple_ball_toward_a_measures_in_256_mb():
+    # 354,293 elements in the radius-11 ball of F(2,7), about 0.8 KB each:
+    # walked whole it ran out of memory here; toward <a> the search walks
+    # 82,533 of them
+    result = run_limited("measure", "-m", "2", "-c", "7", "--radius", "11", "a")
+    rows = "".join(f"{n},{n},true\n" for n in range(1, 12))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0,
+        "n,delta,exact\n" + rows,
+        "",
+    )
+
+
 def test_running_out_of_memory_exits_2_without_a_traceback():
     # the radius-9 ball of F(3,2) peaks at about 98 MB RSS
     result = run_limited(
-        "measure", "-m", "3", "-c", "2", "--radius", "9", "a", megabytes=96
+        "measure", "-m", "3", "-c", "2", "--radius", "9", "a", "b", "c", megabytes=96
     )
     assert (result.returncode, result.stdout, result.stderr) == (
         2,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from unittest.mock import patch
@@ -282,6 +283,89 @@ def test_sift_agrees_with_member(case):
     basis = induced_basis([word_slp(w) for w in gens], p)
     expected = [x for x in batch if member(basis, from_coordinates(x, p))]
     assert _sift(batch, basis) == expected
+
+
+# spans of H's exponent sums that are no coordinate subspace (<ab>, <ab^2,
+# [a,b]>), finite index (<a^2, b^3>) and the trivial subgroup; H = G is
+# drawn as every letter
+SPANS = (("a b",), ("a b^2", "[a,b]"), ("a^2", "b^3"), ("1",))
+
+
+@st.composite
+def pruned_searches(draw):
+    """A subgroup of F(2,2), F(2,3), F(3,2) or F(2,4), from SPANS, H = G
+    or of 1-3 random words, and a radius from 1 to 4."""
+    m, c = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4))))
+    p = Presentation(m, c)
+    kind = draw(st.sampled_from(("span", "whole", "random")))
+    if kind == "span":
+        gens = [parse(w, p) for w in draw(st.sampled_from(SPANS))]
+    elif kind == "whole":
+        gens = ambient(p)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        gens = [
+            word_slp(random_word(rng, m, 5, min_len=1))
+            for _ in range(rng.randint(1, 3))
+        ]
+    return p, gens, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pruned_searches())
+def test_the_pruned_search_keeps_every_member_and_every_table(case):
+    p, gens, radius = case
+    basis = induced_basis(gens, p)
+    full = enumerate_ball(p, ambient(p), radius).lengths
+    pruned = enumerate_ball(p, ambient(p), radius, toward=basis).lengths
+    # the walked elements are those the bound admits, each at its length
+    bound = distortion._distance_to_span(basis, distortion._steps(p, ambient(p)))
+    if bound is None:
+        assert pruned == full
+    else:
+        distance, unit = bound
+        near = {
+            x: n for x, n in full.items() if distance[x[: p.m]] <= unit * (radius - n)
+        }
+        assert pruned == near
+    # every member of H in the ball, at its length
+    members = {x: n for x, n in full.items() if member(basis, from_coordinates(x, p))}
+    assert {x: pruned.get(x) for x in members} == members
+    table = measure_distortion(gens, p, radius)
+    with patch.object(distortion, "_distance_to_span", lambda *args: None):
+        assert measure_distortion(gens, p, radius) == table
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4))),
+    st.one_of(st.sampled_from(SPANS), st.lists(st.sampled_from(
+        ("a", "b^-1", "a^2 b", "a^3 b^-2", "[a,b]", "a b a", "a^-2")
+    ), min_size=1, max_size=3)),
+    st.data(),
+)
+def test_the_bound_is_at_most_the_distance_to_the_lattice(group, words, data):
+    # beta(v) = distance[v] / unit, against the least L1 distance from v
+    # to an exponent-sum vector of H, searched among the vectors within
+    # |v| of v (0 is one)
+    p = Presentation(*group)
+    basis = induced_basis([parse(w, p) for w in words], p)
+    bound = distortion._distance_to_span(basis, distortion._steps(p, ambient(p)))
+    if bound is None:
+        return  # V = Q^m: nothing is pruned
+    distance, unit = bound
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=p.m, max_size=p.m)))
+    radius = sum(map(abs, v))
+    near = [
+        w for w in itertools.product(*(range(x - radius, x + radius + 1) for x in v))
+        if sum(abs(a - b) for a, b in zip(v, w)) <= radius
+    ]
+    lattice = [w for w in near if basis.abelianization.solve(list(w)) is not None]
+    least = min(sum(abs(a - b) for a, b in zip(v, w)) for w in lattice)
+    assert distance[v] <= unit * least
+    if not any(basis.slot(j) for j in range(p.m)):
+        # V = 0: the bound is the distance
+        assert distance[v] == unit * radius
 
 
 def test_measure_central_cyclic_subgroup():

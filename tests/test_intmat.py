@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import bareiss_rank, fraction_det, matmul
-from nildist.intmat import RepeatedSolver, hermite_normal_form
+from nildist.intmat import RepeatedSolver, hermite_normal_form, hermite_transform
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -30,20 +30,20 @@ def is_row_echelon(h):
 
 def test_hnf_examples():
     a = [[2, 0], [3, 0]]
-    h, u = hermite_normal_form(a)
-    assert h == [[1, 0], [0, 0]]
+    h, u = hermite_transform(a)
+    assert h == hermite_normal_form(a) == [[1, 0], [0, 0]]
     assert matmul(u, a) == h
     assert a == [[2, 0], [3, 0]]  # the input is left alone
 
-    h, _ = hermite_normal_form([[4, 6], [6, 9]])
-    assert h == [[2, 3], [0, 0]]
+    assert hermite_normal_form([[4, 6], [6, 9]]) == [[2, 3], [0, 0]]
 
 
 def test_hnf_properties():
     rng = random.Random(17)
     for _ in range(200):
         a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        h, u = hermite_normal_form(a)
+        h, u = hermite_transform(a)
+        assert h == hermite_normal_form(a)
         assert matmul(u, a) == h
         assert abs(fraction_det(u)) == 1
         assert is_row_echelon(h)
@@ -52,14 +52,14 @@ def test_hnf_properties():
 def test_hnf_huge_entries():
     big = 2**100
     a = [[big, big + 1], [3, 5]]
-    h, u = hermite_normal_form(a)
+    h, u = hermite_transform(a)
     assert matmul(u, a) == h
     assert is_row_echelon(h)
 
 
 def rank(a):
     """The number of nonzero rows of a's Hermite form."""
-    return sum(1 for row in hermite_normal_form(a)[0] if any(row))
+    return sum(1 for row in hermite_normal_form(a) if any(row))
 
 
 def test_rank_against_fraction_free_elimination():
