@@ -19,8 +19,9 @@ and read by every later search and sift, in this call and later ones,
 while they stay among the last 20 * CACHED_PRESENTATIONS elements.  No
 step touches a polynomial.
 
-Each search grows its ball layer by layer from the identity and cuts
-every layer's frontier into chunks of _CHUNK elements.  A chunk is
+Each search grows its ball layer by layer from its start, the identity
+unless another tuple is given, and cuts every layer's frontier into
+chunks of _CHUNK elements.  A chunk is
 transposed to coordinate columns, and hall.apply_step_columns takes each
 step over the whole chunk at once, one map per monomial and per row term,
 so the work per element runs in C.  The products are put back in the order
@@ -33,8 +34,10 @@ their length before it starts the next chunk.  So the elements, their
 lengths and their order are those of the plain search, and so is the
 element at which max_elements, which counts the elements yielded, stops
 it; a caller that stops early, as the subgroup search does once it holds
-every target, has walked at most one chunk further.  enumerate_ball
-returns word lengths keyed by coordinate tuple.
+every target, has walked at most one chunk further.  Layer k + 1 comes in
+one chunk per _CHUNK elements of layer k, so a caller can tell when a
+layer is complete.  enumerate_ball returns word lengths keyed by
+coordinate tuple.
 
 measure walks only the part of the ambient ball that can still reach the
 subgroup H.  A letter step changes the exponent-sum vector ab(x), the
@@ -73,11 +76,39 @@ another.  Past half the class x lies in gamma_w, which is abelian, and
 t^-q subtracts q times t's coordinates, as in hall.to_coordinates.  Over
 the three benchmark tables that is 656 steps for 367 survivors, in 22
 column maps.  For a
-cyclic subgroup <u> the subgroup length of u^k is |k| exactly, read off
-the first nonzero coordinate; otherwise a second search over the
-subgroup's own generators supplies the lengths.  When that second search
-hits a cap before resolving every member, the affected table rows are
-reported as lower bounds and flagged.  Two cases skip work: when H's
+subgroup given by one generator u, the subgroup length of u^k is |k|
+exactly, read off the first nonzero coordinate.  That needs the steps to
+be u and u^-1 themselves: <a^2, a^3> is cyclic too, but a = a^3 a^-2 has
+length 2 over its generators.  Otherwise a second search over the
+subgroup's own generators supplies the lengths.
+
+That search runs from both ends (I. Pohl, Bi-directional search, Machine
+Intelligence 6, 1971).  The forward search from the identity walks H's
+Cayley graph layer by layer and stops once it holds every target.  When a
+layer L_k is complete and the unresolved targets, times the step count,
+number at most |L_k|, so that their radius-1 spheres together hold no
+more elements than L_k, each of them is searched backward instead: a
+search from t over the same steps, x -> x s, whose sphere of radius j is
+t times the elements of length j, as the steps are closed under
+inverses.  It stops at the first j at which that sphere meets L_k, and
+then |t|_H = k + j exactly.  t is not in the radius-k ball, where the
+forward search would have found it, so a geodesic to t crosses L_k at
+distance |t|_H - k from t, and j <= |t|_H - k.  An element l of L_k at
+distance j from t spells t as l's word times j more letters, so
+|t|_H <= k + j.  Searching backward costs a ball about t,
+which is as large as the ball about the identity of the same radius; it
+pays because the last targets are few and far, and the forward layers
+past L_k are large.  Over the benchmark's middle table, <a, [a,b]> in
+F(2,3) at radius 6, the subgroup search walks 543 elements where the
+forward search alone walked 1,793 out to layer 8; for <ab, [a,c], b> in
+F(3,3) at radius 4 it walks 6,589 elements where the forward search
+walked 201,087.  Every search's elements count toward max_elements, and
+no length passes the subgroup radius cap, max(4 radius + 4, 16) by
+default: the forward search stops at it and a backward one at the cap
+minus k.  A target the searches do not resolve within the caps leaves its
+table rows reported as lower bounds and flagged; a length they do report
+is exact.  Under a binding cap they can resolve other targets than the
+forward search alone would.  Two cases skip work: when H's
 standard basis has pivot value 1 at every coordinate, H = G and every ball
 element is a member, with no sift; when H's steps are the ambient letters
 and their inverses, the two Cayley graphs are one and the ball's lengths
@@ -182,18 +213,20 @@ def _distance_to_span(basis, steps):
     return distance, max((distance[tuple(exponent_sums(s))] for s in steps), default=0)
 
 
-def _bfs(presentation, gens, radius, max_elements, toward=None):
-    """Yield (coordinate tuples, word length) over gens and their inverses,
-    breadth first, out to the given radius, a frontier chunk's new elements
-    at a time.  Raises CapExceededError rather than yield more than
-    max_elements elements.  With toward, the standard basis of a subgroup
-    H, it yields only the elements that can still reach H within the
-    radius (see the module docstring)."""
-    elements = _steps(presentation, gens)
-    steps = [step_map(s) for s in elements]
-    bound = None if toward is None else _distance_to_span(toward, elements)
+def _bfs(presentation, steps, radius, max_elements, toward=None, start=None):
+    """Yield (coordinate tuples, distance) over the step elements (_steps),
+    breadth first from start (the identity by default) out to the given
+    radius, a frontier chunk's new elements at a time: start alone at
+    distance 0, then layer k + 1 in one chunk, empty or not, per _CHUNK
+    elements of layer k.  Raises CapExceededError rather than yield more
+    than max_elements elements.  With toward, the standard basis of a
+    subgroup H, it yields only the elements that can still reach H within
+    the radius (see the module docstring)."""
+    bound = None if toward is None else _distance_to_span(toward, steps)
+    steps = [step_map(s) for s in steps]
     sums = itemgetter(slice(presentation.m))
-    start = (0,) * presentation.hirsch_length
+    if start is None:
+        start = (0,) * presentation.hirsch_length
     yield [start], 0
     count = 1
     # every neighbour of layer n lies in layer n - 1, n or n + 1, so those
@@ -267,7 +300,8 @@ def enumerate_ball(
     ball."""
     _check_ball(radius, gens, max_elements)
     lengths = {}
-    for elements, length in _bfs(presentation, gens, radius, max_elements, toward):
+    steps = _steps(presentation, gens)
+    for elements, length in _bfs(presentation, steps, radius, max_elements, toward):
         lengths.update(zip(elements, repeat(length)))
     return BallIndex(presentation, radius, lengths)
 
@@ -296,18 +330,60 @@ class DistortionTable:
         return "\n".join(lines) + "\n"
 
 
-def _subgroup_lengths(presentation, gens, targets, max_elements, radius_cap):
-    """Subgroup lengths of the target elements, by BFS over gens.
+def _subgroup_lengths(presentation, steps, targets, max_elements, radius_cap):
+    """Subgroup lengths of the target elements over the step elements
+    (_steps of H's generators), searched from both ends (see the module
+    docstring).
 
-    Stops once every target is found or a cap is reached; targets missing
-    from the result are unresolved and the caller flags their rows.
+    The forward search from the identity stops once every target is
+    found.  Once a layer L_k is complete and |L_k| is at least the number
+    of unresolved targets times the step count, each of them is searched
+    backward instead, until its sphere meets L_k.  The elements of every
+    search count toward max_elements, and no length passes radius_cap.
+    Stops at a cap; targets missing from the result are unresolved and the
+    caller flags their rows.
     """
     found = {}
+    walked = 0
+    layer, chunks_left = [], 1
     try:
-        for elements, length in _bfs(presentation, gens, radius_cap, max_elements):
-            found.update(zip(filter(targets.__contains__, elements), repeat(length)))
+        for elements, k in _bfs(presentation, steps, radius_cap, max_elements):
+            walked += len(elements)
+            found.update(zip(filter(targets.__contains__, elements), repeat(k)))
             if len(found) == len(targets):
+                return found
+            layer += elements
+            chunks_left -= 1
+            if chunks_left:
+                continue
+            # layer is L_k, complete; layer k + 1 comes in one chunk per
+            # _CHUNK elements of it
+            if k < radius_cap and (len(targets) - len(found)) * len(steps) <= len(layer):
                 break
+            layer, chunks_left = [], -(-len(layer) // _CHUNK)
+        else:
+            return found
+    except CapExceededError:
+        return found
+
+    # every target left is outside the radius-k ball, so a geodesic to it
+    # crosses L_k, and |t|_H = k + j for the least j at which the sphere
+    # of radius j about t meets L_k
+    sphere = set(layer)
+    try:
+        for t in targets:
+            if t in found:
+                continue
+            if walked >= max_elements:
+                break
+            backward = _bfs(
+                presentation, steps, radius_cap - k, max_elements - walked, start=t
+            )
+            for elements, j in backward:
+                walked += len(elements)
+                if not sphere.isdisjoint(elements):
+                    found[t] = k + j
+                    break
     except CapExceededError:
         pass
     return found
@@ -390,25 +466,26 @@ def measure_distortion(
         candidates = compress(lengths, map(in_lattice.__getitem__, map(sums, lengths)))
         members = {x: lengths[x] for x in _sift(list(candidates), basis)}
 
-    if len(basis) == 1:
-        # members are the powers entry.element^k; for k != 0 the first
-        # nonzero coordinate is k * a, at the entry's pivot
-        a = basis.entries[0].value
+    steps = _steps(presentation, gens)
+    t = basis.entries[0] if len(basis) == 1 else None
+    if t is not None and set(steps) == {t.element, inverse(t.element)}:
+        # H = <t> over the steps t and t^-1: members are the powers t^k,
+        # and for k != 0 the first nonzero coordinate is k * a, at t's
+        # pivot
+        a = t.value
         hlengths = {
             x: abs(next((e for e in x if e), 0)) // a for x in members
         }
     elif len(basis) == 0:
         hlengths = dict.fromkeys(members, 0)
-    elif whole and set(_steps(presentation, gens)) == set(
-        _steps(presentation, letters)
-    ):
+    elif whole and set(steps) == set(_steps(presentation, letters)):
         # the subgroup's Cayley graph is the ambient one
         hlengths = lengths
     else:
         if subgroup_radius_cap is None:
             subgroup_radius_cap = max(4 * radius + 4, 16)
         hlengths = _subgroup_lengths(
-            presentation, gens, members, max_elements, subgroup_radius_cap
+            presentation, steps, members, max_elements, subgroup_radius_cap
         )
 
     # the largest resolved subgroup length at each ambient length, and

@@ -24,6 +24,7 @@ from nildist.distortion import (
     DistortionTable,
     _bfs,
     _sift,
+    _steps,
     _subgroup_lengths,
     enumerate_ball,
     estimate_exponent,
@@ -129,15 +130,15 @@ def _check_against_the_plain_search(case):
     # ball of radius r - 1, the same items before the same cap error
     p, gens, radius = case
     full = coordinate_items(word_ball(p, gens, radius))
-    slps = [word_slp(w) for w in gens]
-    assert _search(_bfs(p, slps, radius, len(full))) == (full, None)
+    steps = _steps(p, [word_slp(w) for w in gens])
+    assert _search(_bfs(p, steps, radius, len(full))) == (full, None)
     cap = len(word_ball(p, gens, radius - 1)) + 1
     try:
         word_ball(p, gens, radius, cap)
         expected = (full, None)
     except CapExceededError as err:
         expected = (full[:cap], str(err))
-    assert _search(_bfs(p, slps, radius, cap)) == expected
+    assert _search(_bfs(p, steps, radius, cap)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +171,7 @@ def test_each_frontier_element_meets_each_step_once(monkeypatch):
     p, radius = Presentation(2, 3), 4
     oracle = dict(coordinate_items(element_ball(p, radius)))
     yielded = 0
-    for elements, length in _bfs(p, ambient(p), radius, len(oracle)):
+    for elements, length in _bfs(p, _steps(p, ambient(p)), radius, len(oracle)):
         assert all(oracle[x] == length for x in elements)
         yielded += len(elements)
     assert yielded == len(oracle)
@@ -180,25 +181,116 @@ def test_each_frontier_element_meets_each_step_once(monkeypatch):
     assert sorted(calls) == sorted((x, t) for x in inner for t in steps)
 
 
-def test_subgroup_lengths_stop_within_a_chunk_of_the_last_target(monkeypatch):
-    # the search ends with the chunk that yields its last target
-    ball = list(enumerate_ball(P22, ambient(P22), 6).lengths)
-    targets = dict.fromkeys(ball[:300:7])
-    chunks = []
+def _recording_bfs(calls):
+    """_bfs that appends, per call, [start, [(elements, distance), ...]]."""
+    bfs = distortion._bfs
 
-    def recording(*args):
-        for elements, length in _bfs(*args):
-            chunks.append(elements)
+    def recording(*args, **kwargs):
+        chunks = []
+        calls.append([kwargs.get("start"), chunks])
+        for elements, length in bfs(*args, **kwargs):
+            chunks.append((elements, length))
             yield elements, length
 
-    monkeypatch.setattr(distortion, "_bfs", recording)
+    return recording
+
+
+def test_subgroup_lengths_stop_within_a_chunk_of_the_last_target(monkeypatch):
+    # targets spread over the inner ball are all met by the forward search,
+    # which ends with the chunk that yields its last target
+    ball = list(enumerate_ball(P22, ambient(P22), 6).lengths)
+    targets = dict.fromkeys(ball[:300:7])
+    calls = []
+    monkeypatch.setattr(distortion, "_bfs", _recording_bfs(calls))
     monkeypatch.setattr(distortion, "_CHUNK", 4)
     last = ball[294]
-    found = _subgroup_lengths(P22, ambient(P22), targets, 10**6, 6)
+    found = _subgroup_lengths(P22, _steps(P22, ambient(P22)), targets, 10**6, 6)
     assert found.keys() == targets.keys()
-    assert last in chunks[-1]
+    [(start, chunks)] = calls
+    assert start is None
+    assert last in chunks[-1][0]
     # a chunk of 4 frontier elements yields at most 4 * 4 new ones
-    assert sum(map(len, chunks)) <= 295 + 16
+    assert sum(len(elements) for elements, _ in chunks) <= 295 + 16
+
+
+def test_subgroup_lengths_build_no_layer_past_the_switch(monkeypatch):
+    # five targets in layer 6: the forward search completes the first layer
+    # L_k with 5 * 4 <= |L_k| and builds nothing past it; each target's
+    # backward search then ends with the chunk whose sphere meets L_k
+    ball = enumerate_ball(P22, ambient(P22), 6).lengths
+    layers = [[x for x, n in ball.items() if n == k] for k in range(7)]
+    targets = dict.fromkeys(layers[6][::50][:5])
+    assert len(targets) == 5
+    calls = []
+    monkeypatch.setattr(distortion, "_bfs", _recording_bfs(calls))
+    monkeypatch.setattr(distortion, "_CHUNK", 4)
+    steps = _steps(P22, ambient(P22))
+    found = _subgroup_lengths(P22, steps, targets, 10**6, 6)
+    assert found == dict.fromkeys(targets, 6)
+    (start, forward), *backward = calls
+    assert start is None
+    k = forward[-1][1]
+    assert k == min(k for k in range(7) if 5 * len(steps) <= len(layers[k]))
+    # L_k spans several chunks, and all of it was built
+    assert sum(n == k for _, n in forward) > 1
+    assert [x for e, _ in forward for x in e] == [x for n in range(k + 1) for x in layers[n]]
+    assert [start for start, _ in backward] == list(targets)
+    sphere = set(layers[k])
+    for _, chunks in backward:
+        assert [n for _, n in chunks] == sorted(n for _, n in chunks)
+        meets = [not sphere.isdisjoint(e) for e, _ in chunks]
+        assert meets == [False] * (len(chunks) - 1) + [True]
+        assert chunks[-1][1] == 6 - k
+
+
+# subgroups of the two-ended search: distorted ones (<a, [a,b]>, <a b,
+# [a,b]>, <a, [b,[a,b]]>), one of finite index and a central one
+TWO_ENDED = (("a", "[a,b]"), ("a b", "[a,b]"), ("a", "[b,[a,b]]"), ("a^2", "b"), ("[a,b]", "b^2"))
+
+
+@st.composite
+def two_ended_searches(draw):
+    """A subgroup of F(2,2), F(2,3), F(3,2) or F(2,4), from TWO_ENDED or
+    of 1-2 random words; 1-5 targets drawn from H's members of ambient
+    length 2 to 4, which the forward search alone rarely reaches; a
+    subgroup radius cap from 2 to 6; a chunk size of 1, 3 or _CHUNK."""
+    m, c = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4))))
+    p = Presentation(m, c)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        words = [parse_word(w, p) for w in draw(st.sampled_from(TWO_ENDED))]
+    else:
+        words = [random_word(rng, m, 2, min_len=1) for _ in range(rng.randint(1, 2))]
+    basis = induced_basis([word_slp(w) for w in words], p)
+    ball = enumerate_ball(p, ambient(p), 4, toward=basis).lengths
+    members = [x for x in _sift(list(ball), basis) if ball[x] >= 2]
+    targets = dict.fromkeys(rng.sample(members, min(len(members), rng.randint(1, 5))))
+    chunk = draw(st.sampled_from((1, 3, distortion._CHUNK)))
+    return p, words, targets, draw(st.integers(2, 6)), chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_ended_searches(), st.data())
+def test_the_two_ended_search_agrees_with_the_word_ball(case, data):
+    p, words, targets, radius_cap, chunk = case
+    oracle = dict(coordinate_items(word_ball(p, words, radius_cap)))
+    steps = _steps(p, [word_slp(w) for w in words])
+    calls = []
+    with patch.object(distortion, "_CHUNK", chunk), patch.object(
+        distortion, "_bfs", _recording_bfs(calls)
+    ):
+        # uncapped, every target within the radius cap, at its length
+        found = _subgroup_lengths(p, steps, targets, 10**6, radius_cap)
+        assert found == {t: oracle[t] for t in targets if t in oracle}
+        walked = sum(len(e) for _, chunks in calls for e, _ in chunks)
+        # under a tighter cap, a subset of them, walking no more than it
+        cap = data.draw(st.integers(1, walked))
+        calls.clear()
+        capped = _subgroup_lengths(p, steps, targets, cap, radius_cap)
+        assert capped == {t: found[t] for t in capped}
+        assert sum(len(e) for _, chunks in calls for e, _ in chunks) <= cap
+        if cap == walked:
+            assert capped == found
 
 
 def test_ball_lengths_satisfy_triangle_inequality():
@@ -422,6 +514,37 @@ def test_measure_free_abelian_cyclic():
     assert table.complete
 
 
+@pytest.mark.parametrize(
+    "words, deltas",
+    [(("a^2", "a^3"), [2, 2, 2, 2]), (("a", "a^2"), [1, 1, 2, 2]),
+     (("[a,b]^2", "[a,b]^3"), [0, 0, 0, 2])],
+)
+def test_measure_cyclic_subgroup_over_several_generators(words, deltas):
+    # H is cyclic, but its length is over the given generators, not over
+    # the one basis element: a = a^3 a^-2 has length 2 over a^2 and a^3
+    table = measure_distortion([parse(w, P22) for w in words], P22, 4)
+    ambient_ball = element_ball(P22, 4)
+    subgroup_ball = word_ball(P22, [parse_word(w, P22) for w in words], 4)
+    basis = induced_basis([parse(w, P22) for w in words], P22)
+    assert all(g in subgroup_ball for g in ambient_ball if member(basis, g))
+    oracle = [
+        max(subgroup_ball[g] for g, n in ambient_ball.items() if n <= r and g in subgroup_ball)
+        for r in range(1, 5)
+    ]
+    assert oracle == deltas
+    assert [row.delta for row in table.rows] == deltas
+    assert table.complete
+
+
+def test_measure_reads_one_generator_lengths_off_the_coordinates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a subgroup given by one generator needs no search")
+
+    monkeypatch.setattr(distortion, "_subgroup_lengths", refuse)
+    for words in (("a^2",), ("[a,b]^-1",), ("a b", "b^-1 a^-1")):
+        measure_distortion([parse(w, P22) for w in words], P22, 4)
+
+
 def test_measure_finite_index_subgroup():
     table = measure_distortion([parse("a^2", P22), parse("b^2", P22)], P22, 4)
     oracle = triple_ball([HEIS_A, HEIS_B], 4)
@@ -482,6 +605,21 @@ def test_measure_flags_rows_when_subgroup_search_hits_element_cap():
     table = measure_distortion(gens, P22, 3, max_elements=53)
     assert [row.exact for row in table.rows] == [False, False, False]
     assert [row.delta for row in table.rows] == [1, 2, 3]
+
+
+def test_measure_f33_subgroup_search_stays_small(monkeypatch):
+    # <ab, [a,c], b> in F(3,3): the forward search alone walks 201,087
+    # elements to resolve the radius-4 members; from both ends it stays
+    # under 10,000
+    p = Presentation(3, 3)
+    gens = [parse(w, p) for w in ("ab", "[a,c]", "b")]
+    calls = []
+    monkeypatch.setattr(distortion, "_bfs", _recording_bfs(calls))
+    table = measure_distortion(gens, p, 4)
+    assert table.to_csv() == "n,delta,exact\n1,2,true\n2,4,true\n3,6,true\n4,8,true\n"
+    ambient_search, *subgroup_searches = calls
+    assert subgroup_searches
+    assert sum(len(e) for _, chunks in subgroup_searches for e, _ in chunks) <= 10_000
 
 
 def test_estimated_exponent_on_synthetic_tables():
