@@ -194,22 +194,16 @@ def _run(args) -> str:
     if args.command == "hall":
         fmt = _pick_format(args, "text")
         basis = hall_basis(presentation)
+        rows = list(enumerate(zip(basis.entries, basis.names)))
         if fmt == "json":
             return json.dumps(
                 [
-                    {
-                        "index": i,
-                        "weight": basis.entries[i].weight,
-                        "commutator": basis.bracket_str(i),
-                    }
-                    for i in range(len(basis))
+                    {"index": i, "weight": entry.weight, "commutator": name}
+                    for i, (entry, name) in rows
                 ],
                 sort_keys=True,
             )
-        lines = [
-            f"{i}\t{basis.entries[i].weight}\t{basis.bracket_str(i)}"
-            for i in range(len(basis))
-        ]
+        lines = [f"{i}\t{entry.weight}\t{name}" for i, (entry, name) in rows]
         return "\n".join(lines)
 
     if args.command == "analyze":

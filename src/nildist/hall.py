@@ -28,6 +28,10 @@ coordinate tuple.  The two directions:
     has zero coordinates below block w, so its first nonzero coordinate
     takes one solve, at block w.
 
+Both directions build a power b_i^e of a letter in closed form,
+(1 + x)^e = sum_k C(e, k) x^k (magnus._letter_power), with no product, and
+a power of a bracket by its binomial series (magnus.power).
+
 Right multiplication by a fixed element s of weight w is a polynomial map
 on coordinate tuples (step_map): coordinate i of x s minus x_i has weighted
 degree at most w_i - w when x_k weighs the weight of entry k.  Its
@@ -58,6 +62,7 @@ from .errors import InternalInconsistencyError
 from .intmat import RepeatedSolver
 from .magnus import (
     GroupElement,
+    _letter_power,
     _product,
     commutator,
     degree_keys,
@@ -124,6 +129,14 @@ class HallBasis:
             blocks[w] = range(start, len(entries))
         self.entries = tuple(entries)
         self._blocks = blocks
+        # each bracket's name from the names of its two parts
+        names: list[str] = []
+        for entry in entries:
+            if entry.gen is not None:
+                names.append(presentation.name_of(entry.gen))
+            else:
+                names.append(f"[{names[entry.left]},{names[entry.right]}]")
+        self.names = tuple(names)
         for w in range(1, presentation.c + 1):
             if len(blocks[w]) != witt_number(presentation.m, w):
                 raise InternalInconsistencyError(
@@ -171,10 +184,16 @@ class HallBasis:
         return self._elements[i]
 
     def bracket_str(self, i: int) -> str:
-        entry = self.entries[i]
-        if entry.gen is not None:
-            return self.presentation.name_of(entry.gen)
-        return f"[{self.bracket_str(entry.left)},{self.bracket_str(entry.right)}]"
+        return self.names[i]
+
+    def element_power(self, i: int, e: int) -> GroupElement:
+        """b_i^e: the entry itself for e = 1, whose rows are grouped; a
+        letter's power in closed form; a bracket's by its series."""
+        if e == 1:
+            return self._elements[i]
+        if i < self.presentation.m:
+            return _letter_power(self.presentation, i, e)
+        return power(self._elements[i], e)
 
 
 @lru_cache(maxsize=CACHED_PRESENTATIONS)
@@ -195,9 +214,10 @@ def _block_exponents(basis: HallBasis, w: int, terms: dict):
 
 def to_coordinates(g: GroupElement) -> MalcevCoords:
     """Mal'cev coordinates of g, weight block by weight block.  Blocks with
-    2w <= c peel by products; blocks past half the class peel by
-    subtraction, because gamma_w is abelian for 2w > c and b^-e r =
-    r - e(b - 1) there.  The peel must end at the identity."""
+    2w <= c peel by products b^-e r, the letters' b^-e in closed form;
+    blocks past half the class peel by subtraction, because gamma_w is
+    abelian for 2w > c and b^-e r = r - e(b - 1) there.  The peel must end
+    at the identity."""
     p = g.presentation
     basis = hall_basis(p)
     half = p.c // 2
@@ -208,7 +228,7 @@ def to_coordinates(g: GroupElement) -> MalcevCoords:
         coords.extend(exponents)
         for i, e in zip(basis.block(w), exponents):
             if e:
-                residual = multiply(power(basis.element(i), -e), residual)
+                residual = multiply(basis.element_power(i, -e), residual)
     # (b - 1)^2 and (b - 1)(r - 1) start in degree 2w > c, so they vanish
     terms = dict(residual.terms)
     for w in range(half + 1, p.c + 1):
@@ -236,12 +256,7 @@ def from_coordinates(coords, presentation: Presentation) -> GroupElement:
         raise ValueError(
             f"expected {len(basis)} coordinates, got {len(coords)}"
         )
-    # a first power of a basis entry is the entry, whose rows are grouped
-    powers = (
-        basis.element(i) if e == 1 else power(basis.element(i), e)
-        for i, e in enumerate(coords)
-        if e
-    )
+    powers = (basis.element_power(i, e) for i, e in enumerate(coords) if e)
     return _product(powers, presentation)
 
 
@@ -252,21 +267,18 @@ def normal_form_str(coords, presentation: Presentation) -> str:
     [u,v]^-1 = [v,u]; generators keep their negative exponents.
     """
     basis = hall_basis(presentation)
+    names = basis.names
     parts = []
     for i, e in enumerate(coords):
         if not e:
             continue
         entry = basis.entries[i]
-        if entry.gen is not None:
-            name = presentation.name_of(entry.gen)
-            parts.append(name if e == 1 else f"{name}^{e}")
+        if entry.gen is None and e < 0:
+            body = f"[{names[entry.right]},{names[entry.left]}]"
+            e = -e
         else:
-            if e < 0:
-                body = f"[{basis.bracket_str(entry.right)},{basis.bracket_str(entry.left)}]"
-                e = -e
-            else:
-                body = basis.bracket_str(i)
-            parts.append(body if e == 1 else f"{body}^{e}")
+            body = names[i]
+        parts.append(body if e == 1 else f"{body}^{e}")
     return " ".join(parts) or "1"
 
 

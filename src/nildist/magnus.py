@@ -17,34 +17,41 @@ and one add per term pair, where a tuple key would be built and hashed
 letter by letter.
 
 Every integer power, the inverse included, is the binomial series
-(1 + u)^n = sum_k C(n, k) u^k for u = g - 1, negative n too: u^k starts in
-degree k, so the sum stops by degree c.  Multiplication visits only the term
-pairs under the truncation: the right operand's nonconstant monomials come
-grouped by degree into rows, and each left monomial walks the rows up to the
-degree it has room for.  A GroupElement groups its terms once, on its first
-use as a right operand, and keeps the rows: every product by it, the c - 1
-products of a power's series and a commutator's three products all read
-them.  The rows hold every degree and the walk stops at the room, so one row
-set serves any cutoff.  Only fresh dicts, the bracket and hg in a
-commutator, are grouped on the spot.  The right operand's constant term b0
-adds b0 times the left operand in one copy (dict(f) for a group element), so
-the pair loop walks only the rows; the copy needs a left operand with
-nothing above the cutoff, so commutator truncates h before it forms hg.
+(1 + u)^n = sum_k C(n, k) u^k for u = g - 1, negative n too: for g of
+weight w, u^k starts in degree k w, so the sum ends at top = c // w, or at
+n if n >= 0 is smaller.  _series sums it by Horner's rule: from
+p = C(n, top - 1) + C(n, top) u, a scaled copy of u, each step
+p <- C(n, k) + p u, k = top - 2 down to 0, keeps p only up to degree
+c - k w, all that u^k leaves room for.  So a power takes top - 1 products,
+the first ones on a short p, each with u on the right and no sum on the
+side.  Multiplication visits only the term pairs under the truncation: the
+right operand's nonconstant monomials come grouped by degree into rows, and
+each left monomial walks the rows up to the degree it has room for.  A
+GroupElement groups its terms once, on its first use as a right operand,
+and keeps the rows: every product by it, the products of a power's Horner
+steps and a commutator's three products all read them.  The rows hold
+every degree and the walk stops at the room, so one row set serves any
+cutoff.  Only fresh dicts, the bracket and hg in a commutator, are grouped
+on the spot.  The right operand's constant term b0 adds b0 times the left
+operand in one copy (dict(f) for a group element), so the pair loop walks
+only the rows; the copy needs a left operand with nothing above the cutoff,
+so commutator truncates h before it forms hg.
 embed and evaluate start a product from its first factor, and evaluate walks
 a straight-line program (a parsed word) bottom-up without expanding it, one
 power per power node and one commutator per bracket.  A letter power needs
 no product at all: (1 + x_i)^n = sum_k C(n, k) x_i^k, so _letter_power
-writes its terms down at once, for a power node over a letter and each run
-of equal letters that embed reads; a lone letter or its inverse, which
-recurs from word to word, comes from a cache (_letter_image).
+writes its terms down at once, for a power node over a letter, each run of
+equal letters that embed reads and each letter's power in the Mal'cev peel
+and product of hall; a lone letter or its inverse, which recurs from word to
+word, comes from a cache (_letter_image).
 
 A commutator takes two products and a short series.  With u = g - 1 and
 v = h - 1, gh - hg = uv - vu, so [g, h] = g^-1 h^-1 g h = (hg)^-1 gh
 = 1 + (hg)^-1 (uv - vu).  If uv - vu starts in degree d (d >= the sum of
 the weights), only the terms of (hg)^-1 up to degree c - d matter: its
-series runs on hg - 1 = u + v + vu truncated there.  For d = c that is the
-constant 1 and the commutator is 1 + (uv - vu) at once; for d > c it is the
-identity.
+series, the same Horner sum, runs on hg - 1 = u + v + vu truncated there.
+For d = c that is the constant 1 and the commutator is 1 + (uv - vu) at
+once; for d > c it is the identity.
 
 An element g lies in the k-th term of the lower central series exactly when
 every nonconstant term of its image has degree >= k; the weight of g is the
@@ -285,30 +292,33 @@ def inverse(g: GroupElement) -> GroupElement:
     return power(g, -1)
 
 
-def _series(u: dict, rows: list, n: int, cutoff: int, bits: int) -> dict:
-    """The terms of (1 + u)^n = sum_k C(n, k) u^k up to degree cutoff, for u
-    without a constant term or terms above cutoff, and rows its
-    _degree_rows (or those of any u' that agrees with u up to cutoff)."""
-    acc = {1: 1}
-    term, coeff, k = u, n, 1
-    while coeff and term:
-        for key, v in term.items():
-            total = acc.get(key, 0) + coeff * v
-            if total:
-                acc[key] = total
-            elif key in acc:
-                del acc[key]
-        k += 1
-        coeff = coeff * (n - k + 1) // k  # C(n, k), exact for negative n too
-        if coeff:
-            term = _raw_mul(term, rows, 0, cutoff, bits)
-    return acc
+def _series(rows: list, n: int, cutoff: int, bits: int) -> dict:
+    """The terms of (1 + u)^n up to degree cutoff by Horner's rule (see the
+    module docstring), for u without a constant term given by its
+    _degree_rows, or those of any u' that agrees with u up to cutoff.  u's
+    weight w is the degree of its first row."""
+    if not rows:
+        return {1: 1}
+    w = rows[0][0] // bits
+    top = cutoff // w if n < 0 else min(cutoff // w, n)
+    if not top:
+        return {1: 1}
+    coeffs = [1]
+    for k in range(1, top + 1):
+        coeffs.append(coeffs[-1] * (n - k + 1) // k)  # C(n, k), negative n too
+    most = bits * (cutoff - (top - 1) * w)
+    scale = coeffs[top]
+    p = {key: scale * b for shift, row in rows if shift <= most for key, b in row}
+    p[1] = coeffs[top - 1]
+    for k in range(top - 2, -1, -1):
+        p = _raw_mul(p, rows, 0, cutoff - k * w, bits)
+        p[1] = coeffs[k]
+    return p
 
 
 def power(g: GroupElement, n: int) -> GroupElement:
     p = g.presentation
-    u = {k: v for k, v in g.terms.items() if k != 1}
-    return GroupElement(p, _series(u, g.rows, n, p.c, p.letter_bits))
+    return GroupElement(p, _series(g.rows, n, p.c, p.letter_bits))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -335,8 +345,7 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
         limit = 1 << bits * (room + 1)
         h_low = {k: x for k, x in h.terms.items() if k < limit}
         hg = _raw_mul(h_low, g.rows, 1, room, bits)
-        del hg[1]
-        inverse_hg = _series(hg, _degree_rows(hg), -1, room, bits)
+        inverse_hg = _series(_degree_rows(hg), -1, room, bits)
         bracket = _raw_mul(inverse_hg, _degree_rows(bracket), 0, c, bits)
     bracket[1] = 1
     return GroupElement(p, bracket)

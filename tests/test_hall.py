@@ -39,6 +39,30 @@ def test_sizes_and_bracket_strings():
     assert len(hall_basis(P33)) == 14
 
 
+def spelled(basis, i):
+    """Entry i's bracket, spelled down to the letters."""
+    entry = basis.entries[i]
+    if entry.gen is not None:
+        return basis.presentation.name_of(entry.gen)
+    return f"[{spelled(basis, entry.left)},{spelled(basis, entry.right)}]"
+
+
+@pytest.mark.parametrize("m, c", ((2, 7), (5, 3), (3, 4)))
+def test_bracket_names_match_the_recursive_spelling(m, c):
+    p = Presentation(m, c)
+    basis = hall_basis(p)
+    for i, entry in enumerate(basis.entries):
+        assert basis.names[i] == basis.bracket_str(i) == spelled(basis, i)
+        coords = [0] * len(basis)
+        coords[i] = -2
+        flipped = (
+            f"{spelled(basis, i)}^-2"
+            if entry.gen is not None
+            else f"[{spelled(basis, entry.right)},{spelled(basis, entry.left)}]^2"
+        )
+        assert normal_form_str(coords, p) == flipped
+
+
 def test_layer_sizes_match_necklace_counts():
     for m, c in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         basis = hall_basis(Presentation(m, c))

@@ -1,7 +1,8 @@
 """Property tests of the polynomial kernel against the graded oracles, for
 every class from 1 to 7 and for F(5,3), the widest group of the nf-deep
 workload, of the monomial keys against the decoder in oracles, and counts of
-how often the kernel's right operands are grouped into degree rows."""
+how often the kernel's right operands are grouped into degree rows and of
+the term pairs a power's series visits."""
 
 import math
 import random
@@ -152,8 +153,7 @@ def test_rows_cached_at_full_class_serve_a_lower_cutoff(data):
         decode_terms(h_low, p.m), decode_terms(g_low, p.m), cutoff
     )
     n = data.draw(st.integers(-4, 4))
-    del g_low[1]
-    series = _series(g_low, rows, n, cutoff, bits)
+    series = _series(rows, n, cutoff, bits)
     assert decode_terms(series, p.m) == naive_embed(word_power(u, n), p.m, cutoff)
     bracket = commutator(g, h)
     assert tuple_terms(bracket) == naive_embed(commutator_word(u, v), p.m, p.c)
@@ -278,6 +278,63 @@ def test_letter_powers_in_closed_form_equal_the_power_series():
                     assert embed(((i, 1 if n > 0 else -1),) * abs(n), p) == expected
 
 
+SERIES_EXPONENTS = (1, -1, 2, -2, 25, -25, 10**6, -(10**6))
+
+
+@pytest.mark.parametrize("m, c", ((2, 4), (3, 4), (5, 3), (2, 7)))
+def test_series_on_bases_of_weight_two_and_three(m, c):
+    # Horner's rule starts at top = cutoff // w, so a heavier base starts
+    # from a lower power of u; each cutoff, the class included, is the
+    # oracle's power cut there
+    p = Presentation(m, c)
+    a, b = ((0, 1),), ((1, 1),)
+    ab = commutator_word(a, b)
+    aab, bab = commutator_word(a, ab), commutator_word(b, ab)
+    bases = {2: (ab, ab + bab, commutator_word(a + b, b)), 3: (aab, aab + bab)}
+    bits = p.letter_bits
+    for w, words in bases.items():
+        for word in words:
+            g = embed(word, p)
+            assert g.weight() == w
+            for n in SERIES_EXPONENTS:
+                expected = graded_power(word, n, p.m, p.c)
+                assert tuple_terms(power(g, n)) == expected
+                for cutoff in range(p.c):
+                    cut = {mono: v for mono, v in expected.items() if len(mono) <= cutoff}
+                    assert decode_terms(_series(g.rows, n, cutoff, bits), p.m) == cut
+
+
+def test_power_visits_no_more_pairs_than_horner(monkeypatch):
+    # the term pairs the kernel visits, those under its cutoff, for a
+    # 255-term base of weight 1 in F(2,7): Horner's rule takes 6 products
+    # of a p kept to shrinking degree, where summing u^2, ..., u^7 took 7
+    # full products, 4,092 pairs
+    visits, kernel = [], magnus._raw_mul
+
+    def counting(f, rows, b0, cutoff, bits):
+        most = bits * cutoff + 1
+        visits.append(
+            sum(
+                len(row)
+                for k1 in f
+                for shift, row in rows
+                if shift <= most - k1.bit_length()
+            )
+        )
+        return kernel(f, rows, b0, cutoff, bits)
+
+    p = Presentation(2, 7)
+    g = evaluate(parse("(a b^-1 a)^5 [a,b]", p), p)
+    assert len(g.terms) == 255 and g.weight() == 1
+    monkeypatch.setattr(magnus, "_raw_mul", counting)
+    for n, pairs in ((25, 2580), (-1, 2576)):
+        visits.clear()
+        assert tuple_terms(power(g, n)) == graded_power(
+            parse_word("(a b^-1 a)^5 [a,b]", p), n, p.m, p.c
+        )
+        assert len(visits) <= 6 and sum(visits) <= pairs
+
+
 def test_commutator_of_deep_operands():
     # [a,b] and [a,[a,b]] bracket in degree 5: past the class, at it, and
     # with one or two degrees of (hg)^-1 to spare
@@ -347,14 +404,14 @@ def test_keys_past_64_bits():
     a = embed(((0, 1),), p)
     assert p.c == 1 and p == Presentation(1, 1)
     for n in (2, 3, 1000, -1, -7):
-        series = _series({x: 1}, rows, n, 400, 1)
+        series = _series(rows, n, 400, 1)
         binomials = (
             math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
             for k in range(401)
         )
         expected = {(0,) * k: b for k, b in enumerate(binomials) if b}
         assert decode_terms(series, 1) == expected
-        back = _series({x: 1}, rows, -n, 400, 1)
+        back = _series(rows, -n, 400, 1)
         assert _raw_mul(series, _degree_rows(back), 1, 400, 1) == {1: 1}
         g = power(a, n)
         assert tuple_terms(g) == {(): 1, (0,): n}

@@ -7,7 +7,9 @@ value and peels its coordinates on first read, and the basis entries
 back-reduced on first read keep the standard shape and the pivot values of
 the pivoted sequence.  On deep elements of groups up to the Hirsch cap, the
 peel that subtracts past half the class gives the same coordinates as the
-product-only peel of tests/oracles.py."""
+product-only peel of tests/oracles.py, and letter coordinates up to 10^6,
+which both directions build as closed-form letter powers, round-trip and
+peel as the oracle's series powers do."""
 
 import pytest
 
@@ -155,6 +157,26 @@ def deep_elements(draw):
 @given(deep_elements())
 def test_peel_agrees_with_product_peel_on_deep_elements(g):
     assert to_coordinates(g) == product_peel(g)
+
+
+@st.composite
+def letter_heavy_coordinates(draw):
+    """A coordinate vector whose letter coordinates reach 10^6 in size,
+    beside small bracket coordinates, either of them often zero."""
+    p = draw(st.sampled_from((Presentation(2, 7), Presentation(5, 3), Presentation(3, 4))))
+    letter = st.one_of(st.just(0), st.integers(-(10**6), 10**6), st.integers(-3, 3))
+    bracket = st.one_of(st.just(0), st.integers(-20, 20))
+    coords = [draw(letter) for _ in range(p.m)]
+    coords += [draw(bracket) for _ in range(len(hall_basis(p)) - p.m)]
+    return p, tuple(coords)
+
+
+@DEEP_PROPERTIES
+@given(letter_heavy_coordinates())
+def test_letter_peels_agree_with_the_series_peel(case):
+    p, coords = case
+    g = from_coordinates(coords, p)
+    assert to_coordinates(g) == product_peel(g) == coords
 
 
 @pytest.mark.parametrize("c", (2, 4, 6))
