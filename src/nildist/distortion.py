@@ -56,18 +56,30 @@ so it is kept and h is found at its word length.  An element that fails
 the test at its length fails it at every later layer, as r - k only
 falls, and the prefixes of a geodesic to an element that passes pass too,
 as beta moves by at most 1 a step; so every element kept is kept at its
-word length.  beta stays in integers: with D the common denominator of
-R's entries over N, D |u|_1 = sum_n |D v_n - sum_p v_p D R_{p,n}| is
-compared with (r - k) max(D, max_p |D R_{p,N}|_1), computed once per
-exponent-sum vector.  When V = Q^m, for a subgroup of finite index and
-for H = G, N is empty and the whole ball is walked.  Over the three
+word length.  beta stays in integers: with D the least common
+denominator of R's entries over N, the forms f_n = D (e_n - sum_p R_{p,n}
+e_p), one per n in N, give D |u|_1 = sum_n |f_n . v|, which is compared
+with (r - k) max(D, max_p |D R_{p,N}|_1), the largest such sum of a
+letter.  The forms come from back substitution along the pivots in
+integers, each time scaled by the least factor that keeps them integral.
+As ab(x s) = ab(x) + ab(s), f . ab(x s) is f . ab(x) plus a constant of
+the step: the search takes f . ab(x) once per chunk, on the chunk's
+exponent-sum columns, and each step's test in a few column maps, with no
+Python call per element.  When V = Q^m, for a subgroup of finite index
+and for H = G, N is empty and the whole ball is walked.  Over the three
 benchmark tables the search walks 1,405 elements of the 9,299 in the
 balls.
 
 Delta(n) is the largest subgroup length among ball elements that lie in the
-subgroup.  An element's weight-1 coordinates are its exponent sums, so one
-outside the subgroup's abelianization is rejected on its tuple.  The rest
-are sifted on their tuples, all in one batch, along the subgroup's pivots:
+subgroup.  An element's weight-1 coordinates are its exponent sums, and a
+member's lie in the lattice of H's, inside V.  So the member filter
+applies the same forms to the walked elements' exponent-sum columns and
+refuses every element off V at once; only the distinct nonzero vectors at
+distance 0, those in V, are solved in H's lattice, and the elements whose
+vector is not in it are refused too.  Over the three benchmark tables that
+is 0, 12 and 10 solves, where a solve per distinct vector took 60, 42 and
+62.  The rest are sifted on their tuples, all in one batch, along the
+subgroup's pivots:
 a first nonzero coordinate x_j must be a multiple q of the pivot value of
 H's slot t at j, and then x t^-q has it zeroed.  At a pivot of weight
 w <= c/2 that takes |q| steps, taken in rounds: every tuple with x_j > 0
@@ -82,33 +94,48 @@ be u and u^-1 themselves: <a^2, a^3> is cyclic too, but a = a^3 a^-2 has
 length 2 over its generators.  Otherwise a second search over the
 subgroup's own generators supplies the lengths.
 
-That search runs from both ends (I. Pohl, Bi-directional search, Machine
-Intelligence 6, 1971).  The forward search from the identity walks H's
-Cayley graph layer by layer and stops once it holds every target.  When a
-layer L_k is complete and the unresolved targets, times the step count,
-number at most |L_k|, so that their radius-1 spheres together hold no
-more elements than L_k, each of them is searched backward instead: a
-search from t over the same steps, x -> x s, whose sphere of radius j is
-t times the elements of length j, as the steps are closed under
-inverses.  It stops at the first j at which that sphere meets L_k, and
-then |t|_H = k + j exactly.  t is not in the radius-k ball, where the
-forward search would have found it, so a geodesic to t crosses L_k at
-distance |t|_H - k from t, and j <= |t|_H - k.  An element l of L_k at
-distance j from t spells t as l's word times j more letters, so
-|t|_H <= k + j.  Searching backward costs a ball about t,
-which is as large as the ball about the identity of the same radius; it
-pays because the last targets are few and far, and the forward layers
-past L_k are large.  Over the benchmark's middle table, <a, [a,b]> in
-F(2,3) at radius 6, the subgroup search walks 543 elements where the
-forward search alone walked 1,793 out to layer 8; for <ab, [a,c], b> in
-F(3,3) at radius 4 it walks 6,589 elements where the forward search
-walked 201,087.  Every search's elements count toward max_elements, and
-no length passes the subgroup radius cap, max(4 radius + 4, 16) by
-default: the forward search stops at it and a backward one at the cap
-minus k.  A target the searches do not resolve within the caps leaves its
-table rows reported as lower bounds and flagged; a length they do report
-is exact.  Under a binding cap they can resolve other targets than the
-forward search alone would.  Two cases skip work: when H's
+That search runs from both ends, the two sides taking turns (I. Pohl,
+Bi-directional search, Machine Intelligence 6, 1971).  The forward search
+from the identity grows the layers L_0, L_1, ... of H's Cayley graph.  A
+backward search from a target t runs over the same steps, x -> x s; its
+sphere S_j(t) of radius j is t times the elements of length j, as the
+steps are closed under inverses, so it holds the x with d(x, t) = j.
+Every target not yet resolved has one, all grown to one radius j, and
+S_0(t) = {t}.  Before each growth, for every unresolved t, the ball of
+radius k about the identity and the ball of radius j about t are
+disjoint, so |t|_H > k + j: a geodesic to t of length at most k + j has
+a point within k of the one end and within j of the other.  If the next
+layer L_{k+1} meets S_j(t), then |t|_H <= k + 1 + j, so |t|_H = k + 1 + j
+exactly.  If it does not, the balls of radii k + 1 and j stay disjoint: a
+common point x has |x|_H = k + 1 by the invariant, and d(x, t) = j, as
+d(x, t) < j would give |t|_H <= k + j; so x would lie in L_{k+1} and in
+S_j(t).  The spheres' turn is the same with the sides exchanged: S_{j+1}(t)
+meeting L_k gives |t|_H = k + j + 1.  With j = 0 this is the forward
+search alone, which resolves t by meeting t itself, and which stops once
+it holds every target.  So every length reported is exact, whatever the
+order of the turns.  The order follows the sides' sizes: the forward
+search grows until |L_k| is at least the step count times the spheres'
+elements together, a bound on the spheres' next growth; then the spheres
+grow until they hold together at least the step count times |L_k|, and
+so on.  At j = 0 the spheres are the targets, so the first turn comes
+when the unresolved targets, times the step count, number at most |L_k|.
+Searching backward costs a ball about each target, which is as large as
+the ball about the identity of the same radius; it pays because the last
+targets are few and far, and the forward layers past L_k are large.  Over
+the benchmark's middle table, <a, [a,b]> in F(2,3) at radius 6, the
+subgroup search walks 543 elements where the forward search alone walked
+1,793 out to layer 8; for <ab, [a,c], b> in F(3,3) at radius 4 it walks
+6,589 elements where the forward search walked 201,087.  For <a, b a^10>
+in F(2,2) at radius 3, whose longer members lie past the radius cap 16,
+the sides walk 12,409 elements, where the forward search alone walked
+27,905 out to the cap, and one switch to a backward search per target,
+each run to the cap, walked 84,415.  Every search's elements count toward
+max_elements, through one shared count, and no length passes the subgroup
+radius cap, max(4 radius + 4, 16) by default: the sides grow only while
+k + j is below it.  A target the searches do not resolve within the caps
+leaves its table rows reported as lower bounds and flagged; a length they
+do report is exact.  Under a binding cap they can resolve other targets
+than the forward search alone would.  Two cases skip work: when H's
 standard basis has pivot value 1 at every coordinate, H = G and every ball
 element is a member, with no sift; when H's steps are the ambient letters
 and their inverses, the two Cayley graphs are one and the ball's lengths
@@ -121,9 +148,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, compress, filterfalse, repeat
-from operator import itemgetter, mul
+from functools import partial, reduce
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import add, itemgetter, le, mul, not_
 
 from .errors import CapExceededError, InputError
 from .hall import apply_step_columns, hall_basis, step_map
@@ -167,68 +194,96 @@ def _steps(presentation, gens):
     return steps
 
 
-class _Distance(dict):
-    """beta(v) times a positive integer scale, for exponent-sum vectors v,
-    computed on first read: the sum over the forms f of |f . v|."""
+def _dots(forms, columns):
+    """The columns of f . v, one per form f, for the vectors v given as
+    their coordinate columns."""
+    return [
+        list(reduce(partial(map, add), (
+            column if a == 1 else map(mul, column, repeat(a))
+            for a, column in zip(f, columns) if a
+        )))
+        for f in forms
+    ]
 
-    def __init__(self, forms):
-        self.forms = forms
 
-    def __missing__(self, v):
-        self[v] = d = sum(abs(sum(map(mul, f, v))) for f in self.forms)
-        return d
+def _distances(dots, shift):
+    """The column of the sums over the forms f of |f . v + shift_f|, for
+    the columns of f . v (_dots); one map per term, so the work per vector
+    runs in C."""
+    terms = (map(abs, map(add, d, repeat(s)) if s else d) for d, s in zip(dots, shift))
+    return reduce(partial(map, add), terms)
 
 
 def _distance_to_span(basis, steps):
-    """(distance, unit) for the search over the given step elements toward
-    the subgroup H of the standard basis, or None when the span V of H's
-    exponent sums is all of Q^m and nothing can be pruned.  distance[v] is
-    D |u|_1 of the module docstring, and unit the largest distance of a
-    step, so distance[ab(x)] <= unit * (r - k) reads beta(ab(x)) <= r - k
-    for the letters.  V is spanned by the exponent sums of H's slots at the
+    """(forms, unit) for the search over the given step elements toward the
+    subgroup H of the standard basis, or None when the span V of H's
+    exponent sums is all of Q^m and nothing can be pruned.  The forms are
+    the integer vectors D (e_n - sum_p R_{p,n} e_p), one per coordinate n
+    of N, so that the sum over them of |f . v| is D |u|_1 of the module
+    docstring; unit is the largest such sum over the steps' exponent sums,
+    so a sum at most unit * (r - k) reads beta(ab(x)) <= r - k for the
+    letters.  V is spanned by the exponent sums of H's slots at the
     weight-1 pivots, which are rows in echelon form."""
     m = basis.presentation.m
-    rows = {}  # pivot p -> row p of R, V's reduced echelon form
-    for p in reversed(range(m)):
+    rows = {}  # pivot p -> the exponent sums of H's slot there
+    for p in range(m):
         t = basis.slot(p)
         if t is not None:
-            s = exponent_sums(t.element)
-            row = [Fraction(x, s[p]) for x in s]
-            for q, other in rows.items():
-                f = row[q]
-                row = [a - f * b for a, b in zip(row, other)]
-            rows[p] = row
+            rows[p] = exponent_sums(t.element)
     free = [n for n in range(m) if n not in rows]
     if not free:
         return None
-    scale = math.lcm(*(row[n].denominator for row in rows.values() for n in free))
     forms = []
     for n in free:
+        # f annihilates the rows, pivots last to first, each time scaled
+        # by the least factor that keeps it integral, so f[n] is the least
+        # common denominator of the entries R_{p,n}
         f = [0] * m
-        f[n] = scale
-        for p, row in rows.items():
-            f[p] = int(-row[n] * scale)
+        f[n] = 1
+        for p in reversed(rows):
+            s = rows[p]
+            dot = sum(map(mul, f, s))
+            g = math.gcd(dot, s[p])
+            f = [a * (abs(s[p]) // g) for a in f]
+            f[p] = -dot // g if s[p] > 0 else dot // g
         forms.append(f)
-    distance = _Distance(forms)
-    return distance, max((distance[tuple(exponent_sums(s))] for s in steps), default=0)
+    scale = math.lcm(*(f[n] for f, n in zip(forms, free)))
+    forms = [[a * (scale // f[n]) for a in f] for f, n in zip(forms, free)]
+    unit = max(
+        (sum(abs(sum(map(mul, f, exponent_sums(s)))) for f in forms) for s in steps),
+        default=0,
+    )
+    return forms, unit
 
 
-def _bfs(presentation, steps, radius, max_elements, toward=None, start=None):
+def _bfs(
+    presentation, steps, radius, max_elements, toward=None, start=None, walked=None
+):
     """Yield (coordinate tuples, distance) over the step elements (_steps),
     breadth first from start (the identity by default) out to the given
     radius, a frontier chunk's new elements at a time: start alone at
     distance 0, then layer k + 1 in one chunk, empty or not, per _CHUNK
     elements of layer k.  Raises CapExceededError rather than yield more
-    than max_elements elements.  With toward, the standard basis of a
-    subgroup H, it yields only the elements that can still reach H within
-    the radius (see the module docstring)."""
+    than max_elements elements, counted in walked[0] when walked, a
+    one-element list, is given, so that searches sharing it share the cap.
+    With toward, the standard basis of a subgroup H, it yields only the
+    elements that can still reach H within the radius (see the module
+    docstring): each product x s is tested on x's exponent-sum columns,
+    the forms' values there plus the step's, in column maps."""
     bound = None if toward is None else _distance_to_span(toward, steps)
+    if bound is not None:
+        # f . ab(x s) = f . ab(x) + f . ab(s)
+        forms, unit = bound
+        shifts = [[sum(map(mul, f, exponent_sums(s))) for f in forms] for s in steps]
     steps = [step_map(s) for s in steps]
-    sums = itemgetter(slice(presentation.m))
     if start is None:
         start = (0,) * presentation.hirsch_length
+    if walked is None:
+        walked = [0]
+    if walked[0] >= max_elements:
+        raise CapExceededError(f"ball exceeded {max_elements} elements at radius 0")
+    walked[0] += 1
     yield [start], 0
-    count = 1
     # every neighbour of layer n lies in layer n - 1, n or n + 1, so those
     # three layers are all that seen needs
     previous, frontier = [], [start]
@@ -242,20 +297,22 @@ def _bfs(presentation, steps, radius, max_elements, toward=None, start=None):
             # the order of the plain search: x s_1, x s_2, ... for each x
             products = chain.from_iterable(zip(*per_step))
             if bound is not None:
-                # beta(ab(x)) <= radius - layer, in the distance's scale
-                distance, unit = bound
+                # beta(ab(x s)) <= radius - layer, in the forms' scale
                 limit = unit * (radius - layer)
-                products = list(products)
-                near = map(limit.__ge__, map(distance.__getitem__, map(sums, products)))
-                products = compress(products, near)
+                dots = _dots(forms, columns)
+                near = [map(le, _distances(dots, shift), repeat(limit)) for shift in shifts]
+                products = compress(products, chain.from_iterable(zip(*near)))
             fresh = list(dict.fromkeys(filterfalse(seen.__contains__, products)))
-            if count + len(fresh) > max_elements:
-                if max_elements > count:
-                    yield fresh[: max_elements - count], layer
+            count = walked[0] + len(fresh)
+            if count > max_elements:
+                fresh = fresh[: max_elements - walked[0]]
+                walked[0] = max_elements
+                if fresh:
+                    yield fresh, layer
                 raise CapExceededError(
                     f"ball exceeded {max_elements} elements at radius {layer}"
                 )
-            count += len(fresh)
+            walked[0] = count
             seen.update(fresh)
             new += fresh
             yield fresh, layer
@@ -332,58 +389,73 @@ class DistortionTable:
 
 def _subgroup_lengths(presentation, steps, targets, max_elements, radius_cap):
     """Subgroup lengths of the target elements over the step elements
-    (_steps of H's generators), searched from both ends (see the module
-    docstring).
+    (_steps of H's generators), searched from both ends, the two sides
+    taking turns (see the module docstring).
 
-    The forward search from the identity stops once every target is
-    found.  Once a layer L_k is complete and |L_k| is at least the number
-    of unresolved targets times the step count, each of them is searched
-    backward instead, until its sphere meets L_k.  The elements of every
-    search count toward max_elements, and no length passes radius_cap.
-    Stops at a cap; targets missing from the result are unresolved and the
-    caller flags their rows.
+    The forward search from the identity grows the layers L_0, L_1, ... of
+    H's Cayley graph; the backward search from each target t still
+    unresolved grows the spheres S_0(t) = {t}, S_1(t), ..., all of one
+    radius j.  A layer L_k that meets S_j(t) resolves t at k + j.  The
+    forward search grows until the step count times the spheres' elements
+    together is at most |L_k|, and then the spheres grow until the step
+    count times |L_k| is at most their elements together, and so on.  The
+    elements of every search count toward max_elements, and no length
+    passes radius_cap.  Stops at a cap; targets missing from the result
+    are unresolved and the caller flags their rows.
     """
     found = {}
-    walked = 0
-    layer, chunks_left = [], 1
+    walked = [0]  # the elements of every search, toward max_elements
+    search = partial(_bfs, presentation, steps, radius_cap, max_elements, walked=walked)
+    forward, backward = search(), {}
+    layer, k = [], -1  # L_k, once the forward search has built layer 0
+    spheres, j = {t: [t] for t in targets}, 0  # S_j(t), t unresolved
+    # each element of a sphere, with the targets whose sphere holds it;
+    # while j = 0 these are the spheres themselves
+    ahead = spheres
+    forward_turn = True
     try:
-        for elements, k in _bfs(presentation, steps, radius_cap, max_elements):
-            walked += len(elements)
-            found.update(zip(filter(targets.__contains__, elements), repeat(k)))
-            if len(found) == len(targets):
-                return found
-            layer += elements
-            chunks_left -= 1
-            if chunks_left:
-                continue
-            # layer is L_k, complete; layer k + 1 comes in one chunk per
-            # _CHUNK elements of it
-            if k < radius_cap and (len(targets) - len(found)) * len(steps) <= len(layer):
-                break
-            layer, chunks_left = [], -(-len(layer) // _CHUNK)
-        else:
-            return found
-    except CapExceededError:
-        return found
-
-    # every target left is outside the radius-k ball, so a geodesic to it
-    # crosses L_k, and |t|_H = k + j for the least j at which the sphere
-    # of radius j about t meets L_k
-    sphere = set(layer)
-    try:
-        for t in targets:
-            if t in found:
-                continue
-            if walked >= max_elements:
-                break
-            backward = _bfs(
-                presentation, steps, radius_cap - k, max_elements - walked, start=t
-            )
-            for elements, j in backward:
-                walked += len(elements)
-                if not sphere.isdisjoint(elements):
-                    found[t] = k + j
-                    break
+        while k + j < radius_cap:
+            if forward_turn:
+                # layer k + 1 comes in one chunk per _CHUNK elements of L_k,
+                # layer 0 in one
+                new = []
+                for elements, n in islice(forward, -(-len(layer) // _CHUNK) or 1):
+                    for x in filter(ahead.__contains__, elements):
+                        for t in ahead[x]:
+                            if spheres.pop(t, None):
+                                backward.pop(t, None)
+                                found[t] = n + j
+                    if not spheres:
+                        return found
+                    new += elements
+                layer, k = new, k + 1
+                held = sum(map(len, spheres.values()))
+                forward_turn = len(steps) * held > len(layer)
+            else:
+                near = set(layer)
+                for t in list(spheres):
+                    if t not in backward:
+                        backward[t] = search(start=t)
+                        next(backward[t])  # S_0(t) = {t}
+                    new = []
+                    for elements, _ in islice(backward[t], -(-len(spheres[t]) // _CHUNK)):
+                        if not near.isdisjoint(elements):
+                            del spheres[t], backward[t]
+                            found[t] = k + j + 1
+                            break
+                        new += elements
+                    else:
+                        spheres[t] = new
+                j += 1
+                if not spheres:
+                    return found
+                held = sum(map(len, spheres.values()))
+                forward_turn = len(steps) * len(layer) <= held
+                if forward_turn:
+                    ahead = {}
+                    for t, sphere in spheres.items():
+                        for x in sphere:
+                            ahead.setdefault(x, []).append(t)
     except CapExceededError:
         pass
     return found
@@ -455,15 +527,23 @@ def measure_distortion(
     if whole:
         members = lengths
     else:
-        # the weight-1 coordinates are the exponent sums: those outside H's
-        # abelianization reject at once, solved once per sum vector, and
-        # only the rest are sifted
-        lattice, sums = basis.abelianization, itemgetter(slice(presentation.m))
+        # the weight-1 coordinates are the exponent sums: elements off the
+        # span V of H's are refused on the forms' columns, those in V but
+        # outside H's lattice after one solve per vector, and only the rest
+        # are sifted
+        m = presentation.m
+        candidates = list(lengths)
+        bound = _distance_to_span(basis, ())
+        if bound is not None:
+            columns = [list(map(itemgetter(i), candidates)) for i in range(m)]
+            distance = _distances(_dots(bound[0], columns), repeat(0))
+            candidates = list(compress(candidates, map(not_, distance)))
+        lattice, sums = basis.abelianization, itemgetter(slice(m))
         in_lattice = {
             v: not any(v) or lattice.solve(v) is not None
-            for v in set(map(sums, lengths))
+            for v in set(map(sums, candidates))
         }
-        candidates = compress(lengths, map(in_lattice.__getitem__, map(sums, lengths)))
+        candidates = compress(candidates, map(in_lattice.__getitem__, map(sums, candidates)))
         members = {x: lengths[x] for x in _sift(list(candidates), basis)}
 
     steps = _steps(presentation, gens)

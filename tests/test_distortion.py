@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -37,7 +38,7 @@ from nildist.hall import (
     step_map,
     to_coordinates,
 )
-from nildist.magnus import embed, multiply
+from nildist.magnus import embed, exponent_sums, multiply
 from nildist.presentation import Presentation
 from nildist.subgroups import induced_basis, member
 from nildist.words import Slp, parse, parse_word
@@ -293,6 +294,32 @@ def test_the_two_ended_search_agrees_with_the_word_ball(case, data):
             assert capped == found
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(((2, 2), (2, 3), (3, 2))),
+    st.integers(2, 6),
+    st.integers(6, 10),
+    st.sampled_from((1, 3, distortion._CHUNK)),
+    st.randoms(use_true_random=False),
+)
+def test_the_sides_taking_turns_find_the_forward_lengths(group, k, radius_cap, chunk, rng):
+    # <a, b a^k>: its members of ambient length <= 3 lie far out in H's
+    # Cayley graph, so the forward layers and the spheres take several
+    # turns each; every length found is the forward search's, and every
+    # target within the radius cap is found
+    p = Presentation(*group)
+    gens = [parse(w, p) for w in ("a", f"b a^{k}")]
+    steps = _steps(p, gens)
+    forward = dict(_search(_bfs(p, steps, radius_cap, 10**6))[0])
+    basis = induced_basis(gens, p)
+    ball = enumerate_ball(p, ambient(p), 3).lengths
+    members = [x for x in ball if member(basis, from_coordinates(x, p))]
+    targets = dict.fromkeys(rng.sample(members, min(len(members), rng.randint(1, 8))))
+    with patch.object(distortion, "_CHUNK", chunk):
+        found = _subgroup_lengths(p, steps, targets, 10**6, radius_cap)
+    assert found == {t: forward[t] for t in targets if t in forward}
+
+
 def test_ball_lengths_satisfy_triangle_inequality():
     ball = enumerate_ball(P22, ambient(P22), 5)
     rng = random.Random(101)
@@ -383,6 +410,11 @@ def test_sift_agrees_with_member(case):
 SPANS = (("a b",), ("a b^2", "[a,b]"), ("a^2", "b^3"), ("1",))
 
 
+def _beta(forms, v):
+    """beta(v) in the forms' scale: the sum over the forms f of |f . v|."""
+    return sum(abs(sum(a * b for a, b in zip(f, v))) for f in forms)
+
+
 @st.composite
 def pruned_searches(draw):
     """A subgroup of F(2,2), F(2,3), F(3,2) or F(2,4), from SPANS, H = G
@@ -415,9 +447,9 @@ def test_the_pruned_search_keeps_every_member_and_every_table(case):
     if bound is None:
         assert pruned == full
     else:
-        distance, unit = bound
+        forms, unit = bound
         near = {
-            x: n for x, n in full.items() if distance[x[: p.m]] <= unit * (radius - n)
+            x: n for x, n in full.items() if _beta(forms, x[: p.m]) <= unit * (radius - n)
         }
         assert pruned == near
     # every member of H in the ball, at its length
@@ -437,7 +469,7 @@ def test_the_pruned_search_keeps_every_member_and_every_table(case):
     st.data(),
 )
 def test_the_bound_is_at_most_the_distance_to_the_lattice(group, words, data):
-    # beta(v) = distance[v] / unit, against the least L1 distance from v
+    # beta(v) = _beta(forms, v) / unit, against the least L1 distance from v
     # to an exponent-sum vector of H, searched among the vectors within
     # |v| of v (0 is one)
     p = Presentation(*group)
@@ -445,7 +477,7 @@ def test_the_bound_is_at_most_the_distance_to_the_lattice(group, words, data):
     bound = distortion._distance_to_span(basis, distortion._steps(p, ambient(p)))
     if bound is None:
         return  # V = Q^m: nothing is pruned
-    distance, unit = bound
+    forms, unit = bound
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=p.m, max_size=p.m)))
     radius = sum(map(abs, v))
     near = [
@@ -454,10 +486,180 @@ def test_the_bound_is_at_most_the_distance_to_the_lattice(group, words, data):
     ]
     lattice = [w for w in near if basis.abelianization.solve(list(w)) is not None]
     least = min(sum(abs(a - b) for a, b in zip(v, w)) for w in lattice)
-    assert distance[v] <= unit * least
+    assert _beta(forms, v) <= unit * least
     if not any(basis.slot(j) for j in range(p.m)):
         # V = 0: the bound is the distance
-        assert distance[v] == unit * radius
+        assert _beta(forms, v) == unit * radius
+
+
+def _fraction_forms(basis):
+    """The forms of the pruning bound from V's reduced echelon form over
+    the rationals: D (e_n - sum_p R_{p,n} e_p) for each non-pivot n, with D
+    the least common denominator of the entries R_{p,n}; None when V is
+    all of Q^m."""
+    m = basis.presentation.m
+    rows = {}
+    for p in reversed(range(m)):
+        t = basis.slot(p)
+        if t is not None:
+            s = exponent_sums(t.element)
+            row = [Fraction(x, s[p]) for x in s]
+            for q, other in rows.items():
+                f = row[q]
+                row = [a - f * b for a, b in zip(row, other)]
+            rows[p] = row
+    free = [n for n in range(m) if n not in rows]
+    if not free:
+        return None
+    scale = math.lcm(*(row[n].denominator for row in rows.values() for n in free))
+    forms = []
+    for n in free:
+        f = [0] * m
+        f[n] = scale
+        for p, row in rows.items():
+            f[p] = int(-row[n] * scale)
+        forms.append(f)
+    return forms
+
+
+@st.composite
+def letter_power_subgroups(draw):
+    """F(2..4, 2) and 1-3 generators, each a product of letter powers with
+    exponents from -4 to 4, so that V's echelon form has denominators."""
+    p = Presentation(draw(st.integers(2, 4)), 2)
+    exponents = st.lists(st.integers(-4, 4), min_size=p.m, max_size=p.m)
+    gens = [
+        " ".join(f"{p.names[i]}^{e}" for i, e in enumerate(v) if e) or "1"
+        for v in draw(st.lists(exponents, min_size=1, max_size=3))
+    ]
+    return p, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    letter_power_subgroups(),
+    pruned_searches().map(lambda case: (case[0], case[1])),
+))
+def test_the_integer_forms_are_the_echelon_forms(case):
+    # the fraction-free forms equal the ones read off the echelon form, and
+    # unit is the largest bound of a letter step
+    p, gens = case
+    gens = [parse(w, p) if isinstance(w, str) else w for w in gens]
+    basis = induced_basis(gens, p)
+    bound = distortion._distance_to_span(basis, _steps(p, ambient(p)))
+    expected = _fraction_forms(basis)
+    if expected is None:
+        assert bound is None
+        return
+    forms, unit = bound
+    assert forms == expected
+    letters = [[int(i == j) for j in range(p.m)] for i in range(p.m)]
+    assert unit == max(_beta(forms, v) for v in letters)
+
+
+BENCH_TABLES = (
+    (2, 2, 10, ("[a,b]",), 557),
+    (2, 3, 6, ("a", "[a,b]"), 443),
+    (3, 2, 5, ("[a,b]", "c"), 405),
+)
+
+
+def test_the_bench_tables_walk_the_same_elements():
+    for m, c, radius, words, walked in BENCH_TABLES:
+        p = Presentation(m, c)
+        basis = induced_basis([parse(w, p) for w in words], p)
+        assert len(enumerate_ball(p, ambient(p), radius, toward=basis)) == walked
+
+
+@settings(max_examples=80, deadline=None)
+@given(pruned_searches())
+def test_the_member_filter_admits_what_the_lattice_admits(case):
+    # the elements sifted are the walked ones whose exponent sums lie in
+    # H's abelianization, in walk order: the distance-0 filter and the
+    # lattice solve admit exactly what a solve per vector would
+    p, gens, radius = case
+    basis = induced_basis(gens, p)
+    walked = enumerate_ball(p, ambient(p), radius, toward=basis).lengths
+    lattice = basis.abelianization
+    expected = [
+        x for x in walked if not any(x[: p.m]) or lattice.solve(x[: p.m]) is not None
+    ]
+    batches = []
+
+    def recording(batch, basis):
+        batches.append(list(batch))
+        return _sift(batch, basis)
+
+    with patch.object(distortion, "_sift", recording):
+        measure_distortion(gens, p, radius)
+    if batches:
+        assert batches == [expected]
+    else:
+        # H = G: every walked element is a member, with no filter
+        assert expected == list(walked)
+
+
+def test_the_member_filter_solves_only_vectors_in_the_span(monkeypatch):
+    # on the bench tables, the filter solves H's lattice once for each
+    # nonzero exponent-sum vector of a walked element in the span V, and
+    # for no vector outside it
+    for m, c, radius, words, _ in BENCH_TABLES:
+        p = Presentation(m, c)
+        gens = [parse(w, p) for w in words]
+        solved = []
+
+        class Recording:
+            def __init__(self, lattice):
+                self.lattice = lattice
+
+            def solve(self, v):
+                solved.append(tuple(v))
+                return self.lattice.solve(v)
+
+        def recording_basis(gens, presentation):
+            basis = induced_basis(gens, presentation)
+            basis.__dict__["abelianization"] = Recording(basis.abelianization)
+            return basis
+
+        monkeypatch.setattr(distortion, "induced_basis", recording_basis)
+        table = measure_distortion(gens, p, radius)
+        monkeypatch.undo()
+        assert table == measure_distortion(gens, p, radius)
+        basis = induced_basis(gens, p)
+        forms = _fraction_forms(basis)
+        walked = enumerate_ball(p, ambient(p), radius, toward=basis).lengths
+        sums = {x[:m] for x in walked if any(x[:m])}
+        assert sorted(solved) == sorted(v for v in sums if _beta(forms, v) == 0)
+        assert len(solved) < len(sums)
+
+
+def test_the_subgroup_search_sides_take_turns(monkeypatch):
+    # <a, b a^10> in F(2,2) at radius 3: b = (b a^10) a^-10 has subgroup
+    # length 11, and longer members pass the cap 16.  The forward search
+    # alone walks 27,905 elements out to the cap; with the sides taking
+    # turns the subgroup searches walk no more, and every length they find
+    # is the forward search's.  The bench's F(2,3) table walks at most 543.
+    p = P22
+    gens = [parse(w, p) for w in ("a", "b a^10")]
+    steps = _steps(p, gens)
+    forward = dict(_search(_bfs(p, steps, 16, 10**6))[0])
+    assert len(forward) == 27_905
+    calls = []
+    monkeypatch.setattr(distortion, "_bfs", _recording_bfs(calls))
+    table = measure_distortion(gens, p, 3)
+    assert table.to_csv() == "n,delta,exact\n1,11,true\n2,12,false\n3,13,false\n"
+    ambient_search, *subgroup_searches = calls
+    assert sum(len(e) for _, chunks in subgroup_searches for e, _ in chunks) <= 27_905
+    members = enumerate_ball(p, ambient(p), 3).lengths
+    found = _subgroup_lengths(p, steps, members, 10**6, 16)
+    assert found == {x: forward[x] for x in members if x in forward}
+
+    calls.clear()
+    p = Presentation(2, 3)
+    table = measure_distortion([parse(w, p) for w in ("a", "[a,b]")], p, 6)
+    assert [row.delta for row in table.rows] == [1, 2, 3, 4, 6, 8]
+    ambient_search, *subgroup_searches = calls
+    assert sum(len(e) for _, chunks in subgroup_searches for e, _ in chunks) <= 543
 
 
 def test_measure_central_cyclic_subgroup():
